@@ -86,19 +86,6 @@ let record ?(steps = 0) ?(splits = 0) name wall =
     { rec_name = name; rec_wall = wall; rec_steps = steps; rec_splits = splits }
     :: !records
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let write_json file ~jobs =
   let oc = open_out file in
   Printf.fprintf oc
@@ -136,7 +123,7 @@ let write_json file ~jobs =
     (fun i r ->
       Printf.fprintf oc "%s\n    { \"name\": \"%s\", \"wall_s\": %.6f, \"rewrite_steps\": %d, \"splits\": %d }"
         (if i = 0 then "" else ",")
-        (json_escape r.rec_name) r.rec_wall r.rec_steps r.rec_splits)
+        (Telemetry.Json.escape r.rec_name) r.rec_wall r.rec_steps r.rec_splits)
     (List.rev !records);
   Printf.fprintf oc "\n  ],";
   let write_hot key table =
@@ -145,14 +132,14 @@ let write_json file ~jobs =
       (fun i (inv, rules) ->
         Printf.fprintf oc "%s\n    { \"invariant\": \"%s\", \"rules\": ["
           (if i = 0 then "" else ",")
-          (json_escape inv);
+          (Telemetry.Json.escape inv);
         List.iteri
           (fun j (label, fires, self_ms, tries, match_ms) ->
             Printf.fprintf oc
               "%s{\"rule\": \"%s\", \"fires\": %d, \"self_ms\": %.3f, \
                \"match_tries\": %d, \"match_self_ms\": %.3f}"
               (if j = 0 then "" else ", ")
-              (json_escape label) fires self_ms tries match_ms)
+              (Telemetry.Json.escape label) fires self_ms tries match_ms)
           rules;
         Printf.fprintf oc "] }")
       table;

@@ -7,8 +7,6 @@
      caferepl --profile ...     record telemetry; print a hotspot report
                                 (per-rule self-time) on exit
      caferepl --trace-out FILE  write a Chrome/Perfetto trace on exit
-     caferepl --no-index        select rules by linear scan instead of the
-                                discrimination-tree index (same results)
      caferepl                   interactive session (phrases end with '.';
                                 'mod' blocks end with '}') *)
 
@@ -76,14 +74,10 @@ let repl env =
 let () =
   let env = Cafeobj.Eval.create () in
   let args = List.tl (Array.to_list Sys.argv) in
-  let no_index = ref false in
   let rec parse files trace profile trace_out = function
     | [] -> List.rev files, trace, profile, trace_out
     | "--trace" :: rest -> parse files true profile trace_out rest
     | "--profile" :: rest -> parse files trace true trace_out rest
-    | "--no-index" :: rest ->
-      no_index := true;
-      parse files trace profile trace_out rest
     | "--trace-out" :: out :: rest -> parse files trace profile out rest
     | [ "--trace-out" ] ->
       prerr_endline "caferepl: --trace-out needs a file argument";
@@ -92,10 +86,6 @@ let () =
   in
   let files, trace, profile, trace_out = parse [] false false "" args in
   if trace then Cafeobj.Eval.set_tracing env true;
-  if !no_index then begin
-    Kernel.Rewrite.set_default_indexing false;
-    Cafeobj.Eval.set_indexing env false
-  end;
   Telemetry.Cli.setup ~profile ~trace_out ();
   let finish () =
     Telemetry.Cli.flush ~process_name:"caferepl" ~profile ~trace_out ()

@@ -22,20 +22,6 @@ module Exit = Telemetry.Cli.Exit
 
 let usage = "check FILE [--json] [--jobs N] [--profile] [--trace-out OUT]"
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 32 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let chunks_of n xs =
   let rec go acc cur k = function
     | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
@@ -134,14 +120,14 @@ let () =
       (Printf.sprintf
          "{\"file\":\"%s\",\"ok\":%b,\"reds\":%d,\"joins\":%d,\"lpo\":%b,\
           \"steps_replayed\":%d,\"cert_bytes\":%d,\"check_ms\":%.1f,\"errors\":["
-         (json_escape !file) (errors = []) nred njoin has_lpo steps
+         (Telemetry.Json.escape !file) (errors = []) nred njoin has_lpo steps
          (String.length contents) (dt *. 1000.));
     List.iteri
       (fun i (e : Certify.Check.error) ->
         if i > 0 then Buffer.add_char b ',';
         Buffer.add_string b
-          (Printf.sprintf "{\"path\":\"%s\",\"msg\":\"%s\"}" (json_escape e.e_path)
-             (json_escape e.e_msg)))
+          (Printf.sprintf "{\"path\":\"%s\",\"msg\":\"%s\"}" (Telemetry.Json.escape e.e_path)
+             (Telemetry.Json.escape e.e_msg)))
       errors;
     Buffer.add_string b "]}";
     print_endline (Buffer.contents b)

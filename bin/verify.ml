@@ -145,7 +145,6 @@ let () =
   let trace_out = ref "" in
   let jobs = ref (Domain.recommended_domain_count ()) in
   let remote = ref "" in
-  let no_index = ref false in
   let log_file = ref "" in
   let spec =
     [
@@ -167,10 +166,6 @@ let () =
       ( "--remote",
         Arg.Set_string remote,
         "SOCKET send the request to a verifyd serving SOCKET" );
-      ( "--no-index",
-        Arg.Set no_index,
-        "select rules by linear scan instead of the discrimination-tree \
-         index (results are identical; for differential timing)" );
       ( "--log",
         Arg.Set_string log_file,
         "FILE append structured JSON-lines events to FILE" );
@@ -210,12 +205,8 @@ let () =
     exit code
   end;
   Telemetry.Cli.setup ~profile:!profile ~trace_out:!trace_out ();
-  if !no_index then Kernel.Rewrite.set_default_indexing false;
   let style = if !variant then Tls.Model.Cf2First else Tls.Model.Original in
   let env = Tls.Model.env style in
-  (* the base system may already exist (memoized per style) — flip it too *)
-  if !no_index then
-    Kernel.Rewrite.set_indexing (Core.Induction.system env) false;
   let proofs =
     match !only with
     | [] ->

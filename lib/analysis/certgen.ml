@@ -7,12 +7,7 @@
 open Kernel
 module C = Certify.Cert
 
-module Phys = Hashtbl.Make (struct
-  type t = Obj.t
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
+module Phys = Certify.Phys
 
 type t = {
   ops : C.op Phys.t;  (* engine op -> cert op *)

@@ -45,20 +45,7 @@ let pp ppf d =
 (* ------------------------------------------------------------------ *)
 (* JSON — hand-rolled, the repo has no JSON dependency. *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module Json = Telemetry.Json
 
 let to_json d =
   let pos =
@@ -68,5 +55,5 @@ let to_json d =
   in
   Printf.sprintf
     {|{"severity": "%s", "checker": "%s", "code": "%s", "module": "%s"%s, "message": "%s"}|}
-    (severity_name d.severity) (json_escape d.checker) (json_escape d.code)
-    (json_escape d.spec) pos (json_escape d.message)
+    (severity_name d.severity) (Json.escape d.checker) (Json.escape d.code)
+    (Json.escape d.spec) pos (Json.escape d.message)

@@ -1,4 +1,4 @@
-let esc = Diagnostic.json_escape
+module Json = Telemetry.Json
 
 let level_of = function
   | Diagnostic.Error -> "error"
@@ -35,8 +35,8 @@ let of_report (r : Lint.report) =
   add "          \"rules\": [\n";
   List.iteri
     (fun i id ->
-      add "            {\"id\": \"%s\", \"name\": \"%s\"}%s\n" (esc id)
-        (esc id)
+      add "            {\"id\": \"%s\", \"name\": \"%s\"}%s\n" (Json.escape id)
+        (Json.escape id)
         (if i = List.length rules - 1 then "" else ","))
     rules;
   add "          ]\n";
@@ -46,16 +46,16 @@ let of_report (r : Lint.report) =
   List.iteri
     (fun i (d : Diagnostic.t) ->
       add "        {\n";
-      add "          \"ruleId\": \"%s\",\n" (esc (rule_id d));
+      add "          \"ruleId\": \"%s\",\n" (Json.escape (rule_id d));
       add "          \"level\": \"%s\",\n" (level_of d.Diagnostic.severity);
       add "          \"message\": {\"text\": \"%s: %s\"},\n"
-        (esc d.Diagnostic.spec)
-        (esc d.Diagnostic.message);
+        (Json.escape d.Diagnostic.spec)
+        (Json.escape d.Diagnostic.message);
       add "          \"locations\": [\n";
       add "            {\n";
       add "              \"physicalLocation\": {\n";
       add "                \"artifactLocation\": {\"uri\": \"%s\"}%s\n"
-        (esc (uri_of d))
+        (Json.escape (uri_of d))
         (if d.Diagnostic.pos = None then "" else ",");
       (match d.Diagnostic.pos with
       | Some (line, col) ->

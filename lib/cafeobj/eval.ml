@@ -18,7 +18,14 @@ type env = {
   mutable tracing : bool;
   mutable uncached : bool;
   mutable indexing : bool;
+  mutable step_limit : int;
+  mutable deadline : float;
 }
+
+(* [Rewrite.make]'s own defaults: what a red runs under when no limit is
+   set. *)
+let default_step_limit = 5_000_000
+let default_deadline = 0.
 
 let create () =
   {
@@ -30,11 +37,17 @@ let create () =
     tracing = false;
     uncached = false;
     indexing = true;
+    step_limit = default_step_limit;
+    deadline = default_deadline;
   }
 
 let set_tracing env on = env.tracing <- on
 let set_uncached env on = env.uncached <- on
 let set_indexing env on = env.indexing <- on
+
+let set_limits env ~steps ~deadline =
+  env.step_limit <- Option.value steps ~default:default_step_limit;
+  env.deadline <- Option.value deadline ~default:default_deadline
 
 let find_module env name =
   Option.map (fun sc -> sc.spec) (Hashtbl.find_opt env.modules name)
@@ -212,9 +225,12 @@ let eval env (phrase : Parser.toplevel) =
     let sc = scope_for_red env in_module in
     let input = elaborate sc t in
     let sys = Spec.system sc.spec in
-    (* [Spec.system] is cached per spec; re-assert the env's choice each
-       red so flipping the flag mid-session takes effect. *)
+    (* [Spec.system] is cached per spec and outlives the session step
+       that last set its flags; re-assert the env's choices on each red,
+       whichever module it runs in, so a change takes effect. *)
     Rewrite.set_indexing sys env.indexing;
+    Rewrite.set_step_limit sys env.step_limit;
+    Rewrite.set_deadline sys env.deadline;
     let before = Rewrite.steps sys in
     if env.tracing then begin
       let normal_form, deriv = Rewrite.normalize_traced sys input in

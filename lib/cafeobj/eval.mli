@@ -27,6 +27,14 @@ val set_uncached : env -> bool -> unit
     traces are identical either way; the differential suite proves it. *)
 val set_indexing : env -> bool -> unit
 
+(** [set_limits env ~steps ~deadline] bounds every later [red] of [env] —
+    in any module, opened scratch modules included — to [steps] rule
+    applications and [deadline] CPU-seconds
+    ({!Kernel.Rewrite.set_step_limit}, {!Kernel.Rewrite.set_deadline}).
+    [None] restores the default: 5 000 000 steps, no deadline.  A [red]
+    over the bound raises {!Kernel.Rewrite.Limit_exceeded}. *)
+val set_limits : env -> steps:int option -> deadline:float option -> unit
+
 (** [find_module env name] returns an elaborated module. *)
 val find_module : env -> string -> Spec.t option
 

@@ -91,15 +91,6 @@ let flag_of_name = function
 (* ------------------------------------------------------------------ *)
 (* Encoding *)
 
-(* Physical-identity memo table: cuts DAG re-walks so encoding is linear in
-   the number of distinct nodes. *)
-module Phys = Hashtbl.Make (struct
-  type t = Obj.t
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
-
 type 'k interner = {
   keys : ('k, int) Hashtbl.t;
   mutable entries : Sexp.t list;  (** reversed *)

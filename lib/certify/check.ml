@@ -12,14 +12,6 @@ type error = { e_path : string; e_msg : string }
 
 let pp_error ppf e = Format.fprintf ppf "%s: %s" e.e_path e.e_msg
 
-(* Physical-identity memo tables (certificate ASTs are DAGs). *)
-module Phys = Hashtbl.Make (struct
-  type t = Obj.t
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
-
 let bool_sort = "Bool"
 
 (* ------------------------------------------------------------------ *)

@@ -287,22 +287,6 @@ let tick sys =
       (Limit_exceeded
          { limit = Deadline sys.deadline; steps = sys.step_limit - sys.budget })
 
-(* Leftmost-innermost normalization with memoization.  Children are
-   normalized first; then root rules are tried until none applies.  A rule's
-   condition is normalized recursively and must reach the literal [true].
-
-   The traversal is parameterized by its cache: [normalize] runs against
-   the system's shared striped memo, [normalize_uncached] against a
-   private per-call table — same strategy, same step accounting, so the
-   two are differentially comparable. *)
-
-type cache_ops = {
-  c_find : Term.t -> Term.t option;
-  c_store : Term.t -> Term.t -> unit;
-  c_rules : Term.t -> Signature.op -> rule list;
-      (** candidate rules for a root, in rule order *)
-}
-
 (* The seed engine's rule selection: every rule under the subject's head
    operator name, in rule order.  Kept verbatim as the reference the
    differential suite compares the index against, and as the fallback when
@@ -332,126 +316,27 @@ let sys_rules sys t o =
    shows scan cost where it belongs: a rule that is tried at every redex
    and almost never fires is expensive even though it never rewrites
    anything, and that is precisely the cost the index removes. *)
+let root_match r t =
+  match Term.view r.lhs, Term.view t with
+  | Term.App (po, _), Term.App (so, _)
+    when Signature.is_ac po && Signature.op_equal po so ->
+    Ac.match_first r.lhs t
+  | _ -> Matching.match_ r.lhs t
+
 let match_root r t =
-  if not (Probe.enabled ()) then
-    match Term.view r.lhs, Term.view t with
-    | Term.App (po, _), Term.App (so, _)
-      when Signature.is_ac po && Signature.op_equal po so ->
-      Ac.match_first r.lhs t
-    | _ -> Matching.match_ r.lhs t
+  if not (Probe.enabled ()) then root_match r t
   else begin
     let f = Probe.rule_enter () in
-    let m =
-      match Term.view r.lhs, Term.view t with
-      | Term.App (po, _), Term.App (so, _)
-        when Signature.is_ac po && Signature.op_equal po so ->
-        Ac.match_first r.lhs t
-      | _ -> Matching.match_ r.lhs t
-    in
+    let m = root_match r t in
     Probe.rule_exit f ~kind:Probe.Match ~label:r.label;
     m
   end
 
-let rec norm ops sys t =
-  match ops.c_find t with
-  | Some nf -> nf
-  | None ->
-    let nf =
-      match Term.view t with
-      | Term.Var _ -> t
-      | Term.App (o, args) ->
-        let args' = List.map (norm ops sys) args in
-        let t' =
-          if List.for_all2 ( == ) args args' then t
-          else Term.app_unchecked o args'
-        in
-        let t' =
-          if Signature.is_ac o || Signature.is_comm o then Ac.normalize t'
-          else t'
-        in
-        reduce_root ops sys t'
-    in
-    ops.c_store t nf;
-    nf
-
-and reduce_root ops sys t =
-  match Term.view t with
-  | Term.Var _ -> t
-  | Term.App (o, _) -> (
-    match ops.c_rules t o with
-    | [] -> t
-    | candidates -> try_rules ops sys t candidates)
-
-and try_rules ops sys t = function
-  | [] -> t
-  | r :: rest -> (
-    match match_root r t with
-    | None -> try_rules ops sys t rest
-    | Some sub -> (
-      (* Profiling brackets all three timed regions — the match attempt
-         (in [match_root]), condition discharge and right-hand-side
-         normalization — with a per-domain frame so the hotspot report
-         gets exact self-times.  The probe-off path is the seed path plus
-         one flag read; the differential suite holds the two to identical
-         normal forms and step counts. *)
-      let fires =
-        match r.cond with
-        | None -> true
-        | Some c ->
-          let inst = Subst.apply sub c in
-          if not (Probe.enabled ()) then Term.equal (norm ops sys inst) Term.tt
-          else begin
-            let f = Probe.rule_enter () in
-            match norm ops sys inst with
-            | nf ->
-              Probe.rule_exit f ~kind:Probe.Cond ~label:r.label;
-              Term.equal nf Term.tt
-            | exception e ->
-              Probe.rule_exit f ~kind:Probe.Cond ~label:r.label;
-              raise e
-          end
-      in
-      if not fires then try_rules ops sys t rest
-      else if not (Probe.enabled ()) then begin
-        tick sys;
-        norm ops sys (Subst.apply sub r.rhs)
-      end
-      else begin
-        let f = Probe.rule_enter () in
-        tick sys;
-        match norm ops sys (Subst.apply sub r.rhs) with
-        | nf ->
-          Probe.rule_exit f ~kind:Probe.Rewrite ~label:r.label;
-          nf
-        | exception e ->
-          Probe.rule_exit f ~kind:Probe.Rewrite ~label:r.label;
-          raise e
-      end))
-
-let shared_ops sys =
-  {
-    c_find = memo_find sys.memo;
-    c_store = memo_store sys.memo;
-    c_rules = (fun t o -> sys_rules sys t o);
-  }
-
-let local_ops sys =
-  let tbl = Term.Tbl.create 1024 in
-  {
-    c_find = Term.Tbl.find_opt tbl;
-    c_store = Term.Tbl.replace tbl;
-    (* the reference path selects rules by linear scan, unconditionally,
-       and does not count fallbacks — it is the baseline, not a fallback *)
-    c_rules = (fun _ o -> linear_rules sys o);
-  }
-
 (* ------------------------------------------------------------------ *)
-(* Traced normalization.                                               *)
+(* Derivations.                                                        *)
 (*                                                                     *)
-(* The traced path mirrors [norm] exactly — same strategy, same step   *)
-(* accounting — but records a derivation for every visited term.  The  *)
-(* derivation memo is separate from the plain normal-form memo: a memo *)
-(* entry warmed by an earlier untraced run has no derivation, so       *)
+(* The derivation memo is separate from the plain normal-form memo: a  *)
+(* memo entry warmed by an earlier untraced run has no derivation, so  *)
 (* traced runs consult only [dcache]; the plain memo is warmed only    *)
 (* at derivation roots (hashing every subterm into both tables showed  *)
 (* up as the bulk of the tracing overhead).                            *)
@@ -497,116 +382,150 @@ let ac_perm o t' =
       else (Some [ 1; 0 ], Term.app_unchecked o [ b; a ])
     | _ -> (None, t')
 
-let rec norm_t sys t =
-  let dc = dcache sys in
-  match Term.Tbl.find_opt dc t with
-  | Some d -> d
-  | None ->
-    let d =
-      match Term.view t with
-      | Term.Var _ -> triv t
-      | Term.App (o, args) ->
-        let children = List.map (norm_t sys) args in
-        (* reuse [t] when no child moved: keeps the stepless [Term.equal]
-           below on its physical-equality fast path *)
-        let t' =
-          if List.for_all2 (fun d a -> d.d_out == a) children args then t
-          else Term.app_unchecked o (List.map (fun d -> d.d_out) children)
-        in
-        let perm, t'' =
-          if Signature.is_ac o || Signature.is_comm o then ac_perm o t'
-          else (None, t')
-        in
-        let step =
-          match sys_rules sys t'' o with
-          | [] -> None
-          | candidates -> try_rules_t sys t'' candidates
-        in
-        (match step with
-        | None ->
-          if Term.equal t'' t then triv t
-          else { d_in = t; d_out = t''; d_node = Dapp { children; perm; step = None } }
-        | Some rs ->
-          {
-            d_in = t;
-            d_out = rs.rs_next.d_out;
-            d_node = Dapp { children; perm; step = Some rs };
-          })
-    in
-    Term.Tbl.replace dc t d;
-    d
+(* Leftmost-innermost normalization: children first, then AC/Comm
+   canonicalization at the root, then root rules in order until one fires.
+   A rule's condition is normalized recursively and must reach the literal
+   [true]; the fired rule's instantiated right-hand side is normalized in
+   turn.
 
-and try_rules_t sys t = function
+   [visit] is the only function that knows this strategy.  Every entry
+   point runs it under a [mode] that fixes everything else: the cache a
+   visit reads and writes (the shared striped memo, a private per-call
+   table, or [dcache]), rule selection (index or linear reference scan),
+   AC canonicalization ([Ac.normalize], or [ac_perm] when the permutation
+   is recorded) and what a visit returns (the normal form, or a
+   derivation).  Same strategy, same step accounting, so all modes are
+   differentially comparable. *)
+
+type ('a, 's) mode = {
+  find : system -> Term.t -> 'a option;
+  store : system -> Term.t -> 'a -> unit;
+  rules : system -> Term.t -> Signature.op -> rule list;
+      (** candidate rules for a root, in rule order *)
+  canon : Signature.op -> Term.t -> int list option * Term.t;
+  out : 'a -> Term.t;  (** the term a visit reached *)
+  step : rule -> Subst.t -> 'a option -> 'a -> 's;
+      (** a fired rule: its substitution, condition discharge and
+          right-hand-side visit *)
+  node : Term.t -> 'a list -> int list option -> Term.t -> 's option -> 'a;
+      (** a visited term: the input, its children's visits, the AC
+          permutation, the root the rules were tried on, the step fired *)
+}
+
+let rec unmoved m children args =
+  match children, args with
+  | c :: children, a :: args -> m.out c == a && unmoved m children args
+  | _ -> true
+
+let rec visit m sys t =
+  match m.find sys t with
+  | Some v -> v
+  | None ->
+    let v =
+      match Term.view t with
+      | Term.Var _ -> m.node t [] None t None
+      | Term.App (o, args) ->
+        let children = visit_args m sys args in
+        (* reuse [t] when no child moved: keeps the stepless [Term.equal]
+           of a traced node on its physical-equality fast path *)
+        let t' =
+          if unmoved m children args then t
+          else Term.app_unchecked o (List.map m.out children)
+        in
+        if Signature.is_ac o || Signature.is_comm o then
+          let perm, t' = m.canon o t' in
+          m.node t children perm t' (try_rules m sys t' (m.rules sys t' o))
+        else m.node t children None t' (try_rules m sys t' (m.rules sys t' o))
+    in
+    m.store sys t v;
+    v
+
+and visit_args m sys = function
+  | [] -> []
+  | a :: rest ->
+    let v = visit m sys a in
+    v :: visit_args m sys rest
+
+and try_rules m sys t = function
   | [] -> None
   | r :: rest -> (
     match match_root r t with
-    | None -> try_rules_t sys t rest
+    | None -> try_rules m sys t rest
     | Some sub -> (
-      let discharged =
-        match r.cond with
-        | None -> Some None
-        | Some c ->
-          let inst = Subst.apply sub c in
-          let dc =
-            if not (Probe.enabled ()) then norm_t sys inst
-            else begin
-              let f = Probe.rule_enter () in
-              match norm_t sys inst with
-              | dc ->
-                Probe.rule_exit f ~kind:Probe.Cond ~label:r.label;
-                dc
-              | exception e ->
-                Probe.rule_exit f ~kind:Probe.Cond ~label:r.label;
-                raise e
-            end
-          in
-          if Term.equal dc.d_out Term.tt then Some (Some dc) else None
-      in
-      match discharged with
-      | None -> try_rules_t sys t rest
-      | Some rs_cond ->
-        if not (Probe.enabled ()) then begin
-          tick sys;
-          let rs_next = norm_t sys (Subst.apply sub r.rhs) in
-          Some { rs_rule = r; rs_sub = sub; rs_cond; rs_next }
-        end
-        else begin
-          let f = Probe.rule_enter () in
-          tick sys;
-          match norm_t sys (Subst.apply sub r.rhs) with
-          | rs_next ->
-            Probe.rule_exit f ~kind:Probe.Rewrite ~label:r.label;
-            Some { rs_rule = r; rs_sub = sub; rs_cond; rs_next }
-          | exception e ->
-            Probe.rule_exit f ~kind:Probe.Rewrite ~label:r.label;
-            raise e
-        end))
+      match r.cond with
+      | None -> Some (fire m sys r sub None)
+      | Some c ->
+        let d = visit_as Probe.Cond m sys r (Subst.apply sub c) in
+        if Term.equal (m.out d) Term.tt then Some (fire m sys r sub (Some d))
+        else try_rules m sys t rest))
 
-let start_run sys =
-  sys.budget <- sys.step_limit;
-  if sys.deadline > 0. then sys.deadline_at <- Sys.time () +. sys.deadline
+and fire m sys r sub cond =
+  tick sys;
+  m.step r sub cond (visit_as Probe.Rewrite m sys r (Subst.apply sub r.rhs))
 
-let normalize_traced_inner sys t =
-  start_run sys;
-  let d = norm_t sys t in
-  memo_store sys.memo t d.d_out;
-  (d.d_out, d)
-
-(* One span per top-level normalization ([cat = "red"]): nested [norm]
-   recursion stays span-free (rule applications are profiled separately),
-   so a trace shows each red as one block under its proof case. *)
-let normalize_traced sys t =
-  if not (Probe.enabled ()) then normalize_traced_inner sys t
+(* Profiling brackets all three timed regions — the match attempt (in
+   [match_root]), condition discharge and right-hand-side normalization —
+   with a per-domain frame so the hotspot report gets exact self-times.
+   The probe-off path is one flag read; the differential suite holds the
+   two to identical normal forms and step counts. *)
+and visit_as kind m sys r t =
+  if not (Probe.enabled ()) then visit m sys t
   else begin
-    let t0 = Probe.now_ns () in
-    match normalize_traced_inner sys t with
+    let f = Probe.rule_enter () in
+    match visit m sys t with
     | v ->
-      Probe.span_since ~cat:"red" "red" t0;
+      Probe.rule_exit f ~kind ~label:r.label;
       v
     | exception e ->
-      Probe.span_since ~cat:"red" "red" t0;
+      Probe.rule_exit f ~kind ~label:r.label;
       raise e
   end
+
+(* [normalize]: the shared memo, indexed selection, normal forms. *)
+let plain =
+  {
+    find = (fun sys t -> memo_find sys.memo t);
+    store = (fun sys t nf -> memo_store sys.memo t nf);
+    rules = sys_rules;
+    canon = (fun _ t -> (None, Ac.normalize t));
+    out = Fun.id;
+    step = (fun _ _ _ nf -> nf);
+    node = (fun _ _ _ t step -> Option.value step ~default:t);
+  }
+
+(* [normalize_uncached]: the seed engine's path, against a private table
+   that dies with the call — nothing read from or written to the shared
+   memo.  The differential suite compares the other modes against it. *)
+let uncached () =
+  let tbl = Term.Tbl.create 1024 in
+  {
+    plain with
+    find = (fun _ t -> Term.Tbl.find_opt tbl t);
+    store = (fun _ t nf -> Term.Tbl.replace tbl t nf);
+    (* the reference path selects rules by linear scan, unconditionally,
+       and does not count fallbacks — it is the baseline, not a fallback *)
+    rules = (fun sys _ o -> linear_rules sys o);
+  }
+
+(* Traced runs: [dcache], indexed selection, derivations. *)
+let traced =
+  {
+    find = (fun sys t -> Term.Tbl.find_opt (dcache sys) t);
+    store = (fun sys t d -> Term.Tbl.replace (dcache sys) t d);
+    rules = sys_rules;
+    canon = ac_perm;
+    out = (fun d -> d.d_out);
+    step =
+      (fun rs_rule rs_sub rs_cond rs_next -> { rs_rule; rs_sub; rs_cond; rs_next });
+    node =
+      (fun t children perm t' step ->
+        match step with
+        | None ->
+          if Term.equal t' t then triv t
+          else { d_in = t; d_out = t'; d_node = Dapp { children; perm; step } }
+        | Some rs ->
+          { d_in = t; d_out = rs.rs_next.d_out; d_node = Dapp { children; perm; step } });
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Global tracer.                                                      *)
@@ -649,51 +568,48 @@ let record tr sys t d =
             { ob_info = sys.info; ob_input = t; ob_deriv = d } :: tr.tr_obs
         end)
 
-let normalize_inner sys t =
-  match Atomic.get tracer_slot with
-  | None ->
-    start_run sys;
-    norm (shared_ops sys) sys t
-  | Some tr ->
-    start_run sys;
-    let d = norm_t sys t in
-    memo_store sys.memo t d.d_out;
-    record tr sys t d;
-    d.d_out
+(* ------------------------------------------------------------------ *)
+(* Entry points.                                                       *)
+(* ------------------------------------------------------------------ *)
+
+let run m sys t =
+  sys.budget <- sys.step_limit;
+  if sys.deadline > 0. then sys.deadline_at <- Sys.time () +. sys.deadline;
+  visit m sys t
+
+let run_traced sys t =
+  let d = run traced sys t in
+  memo_store sys.memo t d.d_out;
+  d
+
+(* One span per top-level normalization ([cat = "red"]): nested visits
+   stay span-free (rule applications are profiled separately), so a trace
+   shows each red as one block under its proof case. *)
+let red f sys t =
+  if not (Probe.enabled ()) then f sys t
+  else begin
+    let t0 = Probe.now_ns () in
+    Fun.protect
+      ~finally:(fun () -> Probe.span_since ~cat:"red" "red" t0)
+      (fun () -> f sys t)
+  end
 
 let normalize sys t =
-  if not (Probe.enabled ()) then normalize_inner sys t
-  else begin
-    let t0 = Probe.now_ns () in
-    match normalize_inner sys t with
-    | nf ->
-      Probe.span_since ~cat:"red" "red" t0;
-      nf
-    | exception e ->
-      Probe.span_since ~cat:"red" "red" t0;
-      raise e
-  end
+  red
+    (fun sys t ->
+      match Atomic.get tracer_slot with
+      | None -> run plain sys t
+      | Some tr ->
+        let d = run_traced sys t in
+        record tr sys t d;
+        d.d_out)
+    sys t
 
-(* The seed engine's path: identical strategy and step accounting, but
-   against a private table that dies with the call — nothing read from or
-   written to the shared memo.  The differential suite runs every spec
-   through both entry points. *)
-let normalize_uncached_inner sys t =
-  start_run sys;
-  norm (local_ops sys) sys t
+let normalize_uncached sys t = red (fun sys t -> run (uncached ()) sys t) sys t
 
-let normalize_uncached sys t =
-  if not (Probe.enabled ()) then normalize_uncached_inner sys t
-  else begin
-    let t0 = Probe.now_ns () in
-    match normalize_uncached_inner sys t with
-    | nf ->
-      Probe.span_since ~cat:"red" "red" t0;
-      nf
-    | exception e ->
-      Probe.span_since ~cat:"red" "red" t0;
-      raise e
-  end
+let normalize_traced sys t =
+  let d = red run_traced sys t in
+  (d.d_out, d)
 
 (* ------------------------------------------------------------------ *)
 (* Index control and introspection.                                    *)

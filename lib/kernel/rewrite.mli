@@ -3,7 +3,11 @@
     Equations are oriented left-to-right as rewrite rules (Section 2.1) and
     a term is normalized with a leftmost-innermost strategy.  Conditional
     rules (CafeOBJ's [ceq]) apply only when their condition normalizes to
-    [true].
+    [true].  One loop implements that strategy for every entry point:
+    {!normalize}, {!normalize_uncached}, {!normalize_traced} and the
+    global tracer differ only in the cache they consult, how they select
+    candidate rules and whether they return a normal form or a
+    derivation — never in which rule fires where.
 
     Systems are immutable; proof passages extend a base system with their
     assumption equations ({!extend}), which mirrors CafeOBJ's
@@ -126,9 +130,9 @@ val memo_stats : system -> memo_stats
     index is {e never-miss} and preserves rule order, so normal forms,
     step counts, traced derivations and certificates are byte-identical
     with and without it — only the number of failed match attempts
-    changes.  Both the plain and the traced rewriter go through the
-    index; {!normalize_uncached} always uses the linear scan (it is the
-    differential baseline).
+    changes.  {!normalize}, {!normalize_traced} and the global tracer
+    select through the index; {!normalize_uncached} always uses the
+    linear scan (it is the differential baseline).
 
     Index⇄memo generation interaction: the index is keyed to the rule
     set, the memo to the {e meaning} of that rule set.  [extend] rebuilds

@@ -239,15 +239,11 @@ let metrics_response resident =
 let handle_eval resident ~step_limit ~deadline_s src emit =
   (* [red] runs synchronously on the event loop: evals are bounded by the
      per-request step limit / deadline, which is also what makes this the
-     direct wire exercise of Limit_exceeded. *)
-  let apply_limits name =
-    match Cafeobj.Eval.find_module resident.eval_env name with
-    | Some spec ->
-      let sys = Cafeobj.Spec.system spec in
-      Option.iter (Kernel.Rewrite.set_step_limit sys) step_limit;
-      Option.iter (Kernel.Rewrite.set_deadline sys) deadline_s
-    | None -> ()
-  in
+     direct wire exercise of Limit_exceeded.  The limits belong to this
+     request alone and cover every red it runs, whichever module the red
+     is in; a request that sets none runs under the defaults. *)
+  Cafeobj.Eval.set_limits resident.eval_env ~steps:step_limit
+    ~deadline:deadline_s;
   match Cafeobj.Parser.parse_string src with
   | exception Cafeobj.Parser.Error m ->
     emit (P.Rerror { code = "eval"; msg = m });
@@ -265,9 +261,6 @@ let handle_eval resident ~step_limit ~deadline_s src emit =
       List.iter
         (fun (phrase, _pos) ->
           let out = Cafeobj.Eval.eval resident.eval_env phrase in
-          (match out with
-          | Cafeobj.Eval.Defined m -> apply_limits m
-          | _ -> ());
           emit (P.Reval { text = Format.asprintf "%a" Cafeobj.Eval.pp_output out }))
         program;
       Exit.ok
@@ -828,7 +821,7 @@ let statusz_json resident ~draining =
   Buffer.add_string b "]";
   Buffer.add_string b
     (Printf.sprintf ",\"build\":{\"ocaml\":\"%s\"}"
-       (Obs.json_escape Sys.ocaml_version));
+       (Telemetry.Json.escape Sys.ocaml_version));
   Buffer.add_string b "}\n";
   Buffer.contents b
 

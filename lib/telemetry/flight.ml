@@ -67,20 +67,6 @@ let note line =
     if r.r_count < cap then r.r_count <- r.r_count + 1
   end
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let iso8601 t =
   let tm = Unix.gmtime t in
   Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ" (tm.Unix.tm_year + 1900)
@@ -102,7 +88,7 @@ let dump ~reason =
   in
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\"reason\":\"";
-  Buffer.add_string b (json_escape reason);
+  Buffer.add_string b (Json.escape reason);
   Buffer.add_string b "\",\"dumped_at\":\"";
   Buffer.add_string b (iso8601 (Unix.gettimeofday ()));
   Buffer.add_string b (Printf.sprintf "\",\"pid\":%d" (Unix.getpid ()));
@@ -140,7 +126,7 @@ let dump ~reason =
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b
         (Printf.sprintf "{\"ts\":\"%s\",\"dom\":%d,\"line\":\"%s\"}"
-           (iso8601 e.e_ts) dom (json_escape e.e_line)))
+           (iso8601 e.e_ts) dom (Json.escape e.e_line)))
     entries;
   Buffer.add_string b "]}\n";
   Buffer.contents b

@@ -43,9 +43,6 @@ val dump_to_file : reason:string -> string -> unit
 
 (** {1 Shared formatting helpers} (also used by {!Log}) *)
 
-(** [json_escape s] escapes [s] for inclusion inside a JSON string. *)
-val json_escape : string -> string
-
 (** [iso8601 t] renders a [Unix.gettimeofday]-style timestamp as
     ISO-8601 UTC with millisecond precision. *)
 val iso8601 : float -> string

@@ -145,11 +145,6 @@ let render_openmetrics ?(labeled = []) (snap : Metrics.snapshot) =
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
-(* JSON helper for /statusz builders *)
-
-let json_escape = Flight.json_escape
-
-(* ------------------------------------------------------------------ *)
 (* Minimal HTTP/1.1: enough to serve GET /metrics to curl / Prometheus *)
 
 module Http = struct

@@ -30,10 +30,6 @@ val content_type : string
 val render_openmetrics :
   ?labeled:(string * string) list -> Metrics.snapshot -> string
 
-(** [json_escape] — re-export of {!Flight.json_escape} for [/statusz]
-    builders. *)
-val json_escape : string -> string
-
 module Http : sig
   type request = { meth : string; target : string }
 

@@ -1,9 +1,11 @@
-(* Differential test: every spec in specs/ runs twice — once through the
-   seed engine's path ([Rewrite.normalize_uncached], private per-call memo)
-   and once through the shared generation-stamped memo ([Rewrite.normalize]).
-   Both engines must produce identical outputs phrase by phrase: the same
-   normal forms, the same verify verdicts, and memo step counts never above
-   the uncached engine's (the memo can only skip work, not add it). *)
+(* Differential test: every spec in specs/ runs three times — through the
+   seed engine's path ([Rewrite.normalize_uncached], private per-call memo),
+   through the shared generation-stamped memo ([Rewrite.normalize]) and
+   through the traced engine ([Rewrite.normalize_traced], derivation memo).
+   All three must produce identical outputs phrase by phrase: the same
+   normal forms, the same verify verdicts, and memoized or traced step
+   counts never above the uncached engine's (a memo can only skip work,
+   not add it). *)
 
 open Cafeobj
 
@@ -85,39 +87,46 @@ close
 |}
         m
 
-let run ~uncached src =
+let run ?(traced = false) ~uncached src =
   let env = Eval.create () in
   Eval.set_uncached env uncached;
+  Eval.set_tracing env traced;
   List.map observe (Eval.eval_string env (src ^ driver_for src))
 
 let check_spec (file, path) () =
   let src = read_file path in
   let old_path = run ~uncached:true src in
-  let memo_path = run ~uncached:false src in
-  Alcotest.(check int)
-    (file ^ ": same number of outputs")
-    (List.length old_path) (List.length memo_path)
-  ;
-  let reds = ref 0 in
-  List.iteri
-    (fun i (o, m) ->
-      let at what = Printf.sprintf "%s phrase %d: %s" file (i + 1) what in
-      match o, m with
-      | OReduced o, OReduced m ->
-        incr reds;
-        Alcotest.(check string) (at "input") o.input m.input;
-        Alcotest.(check string) (at "normal form") o.nf m.nf;
-        Alcotest.(check bool) (at "verdict") o.verdict m.verdict;
-        (* The memo can only save rewrite steps, never add them. *)
-        if m.steps > o.steps then
-          Alcotest.failf "%s: memoized path used %d steps, uncached used %d"
-            (at "steps") m.steps o.steps
-      | ODefined a, ODefined b -> Alcotest.(check string) (at "defined") a b
-      | OOpened a, OOpened b -> Alcotest.(check string) (at "opened") a b
-      | OClosed, OClosed | OShown, OShown -> ()
-      | _ -> Alcotest.failf "%s" (at "output kinds diverge"))
-    (List.combine old_path memo_path);
-  Alcotest.(check bool) (file ^ ": exercises red") true (!reds > 0)
+  List.iter
+    (fun (name, new_path) ->
+      Alcotest.(check int)
+        (Printf.sprintf "%s: same number of outputs (%s)" file name)
+        (List.length old_path) (List.length new_path);
+      let reds = ref 0 in
+      List.iteri
+        (fun i (o, m) ->
+          let at what =
+            Printf.sprintf "%s phrase %d: %s (%s)" file (i + 1) what name
+          in
+          match o, m with
+          | OReduced o, OReduced m ->
+            incr reds;
+            Alcotest.(check string) (at "input") o.input m.input;
+            Alcotest.(check string) (at "normal form") o.nf m.nf;
+            Alcotest.(check bool) (at "verdict") o.verdict m.verdict;
+            (* A memo can only save rewrite steps, never add them. *)
+            if m.steps > o.steps then
+              Alcotest.failf "%s: %s path used %d steps, uncached used %d"
+                (at "steps") name m.steps o.steps
+          | ODefined a, ODefined b -> Alcotest.(check string) (at "defined") a b
+          | OOpened a, OOpened b -> Alcotest.(check string) (at "opened") a b
+          | OClosed, OClosed | OShown, OShown -> ()
+          | _ -> Alcotest.failf "%s" (at "output kinds diverge"))
+        (List.combine old_path new_path);
+      Alcotest.(check bool) (file ^ ": exercises red") true (!reds > 0))
+    [
+      "memoized", run ~uncached:false src;
+      "traced", run ~traced:true ~uncached:false src;
+    ]
 
 let test_coverage () =
   (* The differential suite must cover every spec shipped in specs/ — if a

@@ -483,6 +483,69 @@ let test_live_timeout_keeps_connection () =
   Alcotest.(check bool) "pong received" true
     (List.exists (function P.Pong _ -> true | _ -> false) resps)
 
+(* Eval limits belong to one request.  [LIM] is defined by a request with
+   a 500-step budget; it has a looping [f] and a terminating [e] whose
+   [red] below takes about 2 000 steps. *)
+let limits_module =
+  "mod LIM {\n  [ N ]\n  op z : -> N .\n  op s : N -> N .\n\
+  \  op f : N -> N .\n  op d : N -> N .\n  op e : N -> N .\n  var X : N .\n\
+  \  eq f(X) = f(f(X)) .\n  eq d(z) = z .\n  eq d(s(X)) = s(s(d(X))) .\n\
+  \  eq e(z) = s(z) .\n  eq e(s(X)) = d(e(X)) .\n}\nred in LIM : f(z) .\n"
+
+let eval_request c ?step_limit src =
+  Server.Client.request_collect c
+    (P.Eval { src; step_limit; deadline_s = None })
+
+let step_timeouts resps =
+  List.filter_map
+    (function
+      | P.Rtimeout { limit = `Steps n; steps; _ } -> Some (n, steps)
+      | _ -> None)
+    resps
+
+let test_live_eval_limits_per_request () =
+  with_daemon ~jobs:1 @@ fun socket ->
+  Server.Client.with_client ~socket @@ fun c ->
+  let resps, code = eval_request c ~step_limit:500 limits_module in
+  Alcotest.(check int) "defining request times out" Exit.timeout code;
+  Alcotest.(check (list (pair int int))) "at its own 500-step budget"
+    [ (500, 500) ] (step_timeouts resps);
+  (* a later request's own budget replaces the earlier one *)
+  let resps, code = eval_request c ~step_limit:20_000 "red in LIM : f(z) .\n" in
+  Alcotest.(check int) "later request times out" Exit.timeout code;
+  Alcotest.(check (list (pair int int))) "at its own 20000-step budget"
+    [ (20_000, 20_000) ] (step_timeouts resps);
+  (* a request without limits runs under the defaults, not under 500 *)
+  let resps, code =
+    eval_request c "red in LIM : e(s(s(s(s(s(s(s(s(s(s(z))))))))))) .\n"
+  in
+  Alcotest.(check int) "limit-free request completes" Exit.ok code;
+  Alcotest.(check (list (pair int int))) "no timeout" [] (step_timeouts resps);
+  let rewrites =
+    List.filter_map
+      (function
+        | P.Reval { text } ->
+          Option.bind (String.rindex_opt text '(') (fun i ->
+              Scanf.sscanf_opt (String.sub text i (String.length text - i))
+                "(%d rewrites)" Fun.id)
+        | _ -> None)
+      resps
+  in
+  Alcotest.(check bool) "took more than the earlier 500-step budget" true
+    (List.exists (fun n -> n > 500) rewrites)
+
+let test_live_eval_limits_in_open () =
+  with_daemon ~jobs:1 @@ fun socket ->
+  Server.Client.with_client ~socket @@ fun c ->
+  let src =
+    "mod LOOP2 {\n  [ N ]\n  op z : -> N .\n  op f : N -> N .\n\
+    \  var X : N .\n  eq f(X) = f(f(X)) .\n}\nopen LOOP2\nred f(z) .\nclose\n"
+  in
+  let resps, code = eval_request c ~step_limit:500 src in
+  Alcotest.(check int) "red in an opened module times out" Exit.timeout code;
+  Alcotest.(check (list (pair int int))) "at the request's 500-step budget"
+    [ (500, 500) ] (step_timeouts resps)
+
 let test_live_protocol_error () =
   with_daemon ~jobs:1 @@ fun socket ->
   let fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
@@ -915,6 +978,10 @@ let tests =
         test_live_verify_identity;
       Alcotest.test_case "live: timeout is a verdict, not a hangup" `Slow
         test_live_timeout_keeps_connection;
+      Alcotest.test_case "live: eval limits belong to one request" `Slow
+        test_live_eval_limits_per_request;
+      Alcotest.test_case "live: eval limits cover opened modules" `Slow
+        test_live_eval_limits_in_open;
       Alcotest.test_case "live: protocol errors answered, daemon survives"
         `Slow test_live_protocol_error;
       Alcotest.test_case "live: secrecy served and cached" `Slow

@@ -252,6 +252,27 @@ let test_disabled_records_nothing () =
   Alcotest.(check int) "counter untouched" 0 (Probe.value c);
   Alcotest.(check int) "no rule stats" 0 (List.length snap.Probe.sn_rules)
 
+(* ------------------------------------------------------------------ *)
+(* The one JSON string escaper *)
+
+let test_json_escape () =
+  List.iter
+    (fun (input, expected) ->
+      Alcotest.(check string) (String.escaped input) expected
+        (Telemetry.Json.escape input))
+    [
+      "", "";
+      "plain", "plain";
+      "say \"hi\"", {|say \"hi\"|};
+      "back\\slash", {|back\\slash|};
+      "two\nlines", {|two\nlines|};
+      "tab\there", {|tab\there|};
+      "bell\x01byte", {|bell\u0001byte|};
+      "cr\r\x1f", {|cr\u000d\u001f|};
+      "\xc3\xa9t\xc3\xa9 \xe2\x9c\x93", "\xc3\xa9t\xc3\xa9 \xe2\x9c\x93";
+      "\x7f", "\x7f";
+    ]
+
 let suite =
   ( "telemetry",
     [
@@ -266,4 +287,5 @@ let suite =
         (scrubbed test_rule_stats_vs_steps);
       Alcotest.test_case "disabled records nothing" `Quick
         (scrubbed test_disabled_records_nothing);
+      Alcotest.test_case "json escape table" `Quick test_json_escape;
     ] )
