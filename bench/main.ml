@@ -70,6 +70,10 @@ let server_p99_ms = ref 0.0
 let spans_dropped = ref 0
 let spans_dropped_dom : (int * int) list ref = ref []
 
+(* every Metrics counter as E1-E15 left it, read before E16's profiling
+   resets the registry *)
+let counters : (string * int) list ref = ref []
+
 (* per invariant, the top rules by self-time:
    (label, fires, self_ms, match_tries, match_self_ms) — [hot_rules] with
    the discrimination-tree index (the default engine), [hot_rules_linear]
@@ -106,6 +110,7 @@ let write_json file ~jobs =
      \"metrics_scrape_ms\": %.3f,\n  \
      \"server_p99_ms\": %.3f,\n  \"spans_dropped\": %d,\n  \
      \"spans_dropped_by_dom\": {%s},\n  \
+     \"counters\": {%s},\n  \
      \"experiments\": ["
     jobs !lint_ms !certify_ms !cert_bytes !red_untraced_ms !red_traced_ms
     !red_memo_ms !memo_hit_rate !intern_table_len !telemetry_overhead_pct
@@ -118,7 +123,12 @@ let write_json file ~jobs =
     (String.concat ", "
        (List.map
           (fun (dom, n) -> Printf.sprintf "\"dom%d\": %d" dom n)
-          (List.sort compare !spans_dropped_dom)));
+          (List.sort compare !spans_dropped_dom)))
+    (String.concat ", "
+       (List.map
+          (fun (name, v) ->
+            Printf.sprintf "\"%s\": %d" (Telemetry.Json.escape name) v)
+          !counters));
   List.iteri
     (fun i r ->
       Printf.fprintf oc "%s\n    { \"name\": \"%s\", \"wall_s\": %.6f, \"rewrite_steps\": %d, \"splits\": %d }"
@@ -521,6 +531,7 @@ let report ~pool () =
    record "certify-inv1" check_s);
 
   section "E16: telemetry overhead and per-invariant hot rules";
+  counters := (Telemetry.Metrics.snapshot ()).Telemetry.Metrics.m_counters;
   (let full = Tls.Scenario.full_handshake () in
    let nwt = Tls.Model.nw full.Tls.Scenario.ots (Tls.Scenario.final full) in
    let c = Tls.Scenario.cast in
@@ -762,15 +773,15 @@ let report ~pool () =
    Rewrite.set_indexing sys false;
    let linear = time red in
    Rewrite.set_indexing sys true;
-   Index.reset_stats ();
+   let before = Index.stats () in
    let indexed = time red in
-   let st = Index.stats () in
-   let considered = st.Index.hits + st.Index.filtered in
+   let after = Index.stats () in
+   let hits = after.Index.hits - before.Index.hits in
+   let considered = hits + after.Index.filtered - before.Index.filtered in
    red_linear_ms := linear;
    red_indexed_ms := indexed;
    index_candidate_ratio :=
-     (if considered = 0 then 1.
-      else float_of_int st.Index.hits /. float_of_int considered);
+     (if considered = 0 then 1. else float_of_int hits /. float_of_int considered);
    let ii = Rewrite.index_info sys in
    Format.printf
      "E20 red rule selection: %.3f ms linear, %.3f ms indexed (%.2fx); \

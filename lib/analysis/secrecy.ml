@@ -713,10 +713,10 @@ let find_leak view outcome q =
 (* ------------------------------------------------------------------ *)
 (* Analysis entry point *)
 
-let c_clauses = Telemetry.Probe.counter ~mode:`Max "secrecy.horn_clauses"
-let c_facts = Telemetry.Probe.counter ~mode:`Max "secrecy.facts"
-let c_rounds = Telemetry.Probe.counter "secrecy.saturation_rounds"
-let c_resolutions = Telemetry.Probe.counter "secrecy.resolutions"
+let c_clauses = Telemetry.Metrics.counter "secrecy.horn_clauses"
+let c_facts = Telemetry.Metrics.counter "secrecy.facts"
+let c_rounds = Telemetry.Metrics.counter "secrecy.saturation_rounds"
+let c_resolutions = Telemetry.Metrics.counter "secrecy.resolutions"
 
 let analyze ?(opts = default_options) spec =
   Telemetry.Probe.with_span ~always:true ~cat:"secrecy" "secrecy.analyze"
@@ -744,10 +744,10 @@ let analyze ?(opts = default_options) spec =
       Horn.saturate ~depth:opts.depth ~max_facts:opts.max_facts
         ~expansion:opts.expansion ~normalize ~constructors clauses
     in
-    Telemetry.Probe.record_max c_clauses (List.length clauses);
-    Telemetry.Probe.record_max c_facts outcome.Horn.stats.Horn.facts_total;
-    Telemetry.Probe.add c_rounds outcome.Horn.stats.Horn.rounds;
-    Telemetry.Probe.add c_resolutions outcome.Horn.stats.Horn.resolutions;
+    Telemetry.Metrics.record_max c_clauses (List.length clauses);
+    Telemetry.Metrics.record_max c_facts outcome.Horn.stats.Horn.facts_total;
+    Telemetry.Metrics.add c_rounds outcome.Horn.stats.Horn.rounds;
+    Telemetry.Metrics.add c_resolutions outcome.Horn.stats.Horn.resolutions;
     let verdict =
       if queries = [] then
         Not_applicable "no secrecy query (none given, none derivable)"

@@ -2,7 +2,7 @@
    of a rigid pattern and per sub-multiset assignment to a variable
    pattern.  A hot counter here is how the hotspot report shows when AC
    search (not plain rewriting) dominates a red. *)
-let c_backtracks = Telemetry.Probe.counter "kernel.ac.backtracks"
+let c_backtracks = Telemetry.Metrics.counter "kernel.ac.backtracks"
 
 let rec flatten op t =
   match Term.view t with
@@ -98,7 +98,7 @@ and match_ac sub op pats subjects k =
     | p :: ps ->
       List.concat_map
         (fun (s, rest) ->
-          Telemetry.Probe.incr c_backtracks;
+          Telemetry.Metrics.incr c_backtracks;
           match_term sub p s (fun sub' -> place_rigid sub' ps rest k))
         (select remaining)
   and distribute sub flex remaining k =
@@ -108,7 +108,7 @@ and match_ac sub op pats subjects k =
     | v :: vs ->
       List.concat_map
         (fun (inside, outside) ->
-          Telemetry.Probe.incr c_backtracks;
+          Telemetry.Metrics.incr c_backtracks;
           bind_var sub v inside (fun sub' -> distribute sub' vs outside k))
         (nonempty_submultisets remaining)
   and bind_var sub v pieces k =

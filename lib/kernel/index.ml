@@ -1,4 +1,4 @@
-module Probe = Telemetry.Probe
+module Metrics = Telemetry.Metrics
 
 (* A tree edge symbol: operator name plus argument count.  [Signature]
    keeps names unique per signature and [op_equal] is name equality, so
@@ -168,7 +168,11 @@ type kind =
   | Acb of prof array  (* aligned with [b_items] *)
   | Opaque  (* heterogeneous head operators: no filtering, full bucket *)
 
-type 'a bucket = { b_items : ('a * Term.t) array; b_kind : kind }
+type 'a bucket = {
+  b_items : ('a * Term.t) array;
+  b_all : 'a list;  (* the entries of [b_items], kept as the full answer *)
+  b_kind : kind;
+}
 
 type 'a t = {
   i_buckets : (string, 'a bucket) Hashtbl.t;
@@ -177,37 +181,22 @@ type 'a t = {
   mutable i_ok : bool;
 }
 
-(* Process-wide accounting, same pattern as the memo's per-system atomics:
-   always-on atomics are the source of truth, the Probe counters mirror
-   them for profiled runs (one flag read when the probe is off). *)
-let s_queries = Atomic.make 0
-let s_hits = Atomic.make 0
-let s_filtered = Atomic.make 0
-let s_fallbacks = Atomic.make 0
-let c_hits = Probe.counter "kernel.index.hits"
-let c_filtered = Probe.counter "kernel.index.filtered"
-let c_fallbacks = Probe.counter "kernel.index.fallbacks"
+let c_queries = Metrics.counter "kernel.index.queries"
+let c_hits = Metrics.counter "kernel.index.hits"
+let c_filtered = Metrics.counter "kernel.index.filtered"
+let c_fallbacks = Metrics.counter "kernel.index.fallbacks"
 
 type stats = { queries : int; hits : int; filtered : int; fallbacks : int }
 
 let stats () =
   {
-    queries = Atomic.get s_queries;
-    hits = Atomic.get s_hits;
-    filtered = Atomic.get s_filtered;
-    fallbacks = Atomic.get s_fallbacks;
+    queries = Metrics.value c_queries;
+    hits = Metrics.value c_hits;
+    filtered = Metrics.value c_filtered;
+    fallbacks = Metrics.value c_fallbacks;
   }
 
-let reset_stats () =
-  Atomic.set s_queries 0;
-  Atomic.set s_hits 0;
-  Atomic.set s_filtered 0;
-  Atomic.set s_fallbacks 0
-
-let note_fallback n =
-  ignore n;
-  Atomic.incr s_fallbacks;
-  Probe.incr c_fallbacks
+let note_fallback () = Metrics.incr c_fallbacks
 
 let head_of lhs =
   match Term.view lhs with
@@ -245,7 +234,7 @@ let build ?(gen = 0) ~lhs entries =
         end
         else Opaque
       in
-      Hashtbl.replace buckets name { b_items = items; b_kind = kind })
+      Hashtbl.replace buckets name { b_items = items; b_all = group; b_kind = kind })
     order;
   { i_buckets = buckets; i_rules = List.length entries; i_gen = gen; i_ok = true }
 
@@ -257,8 +246,6 @@ let bucket_slots b subject =
   | Acb profs -> query_ac profs subject
   | Opaque -> List.init (Array.length b.b_items) Fun.id
 
-let full_bucket b = Array.to_list (Array.map fst b.b_items)
-
 let candidates t subject =
   match Term.view subject with
   | Term.Var _ -> []
@@ -266,19 +253,21 @@ let candidates t subject =
     match Hashtbl.find_opt t.i_buckets o.Signature.name with
     | None -> []
     | Some b when not t.i_ok ->
-      Atomic.incr s_fallbacks;
-      Probe.incr c_fallbacks;
-      full_bucket b
+      note_fallback ();
+      b.b_all
     | Some b ->
       let slots = bucket_slots b subject in
       let n = Array.length b.b_items in
       let k = List.length slots in
-      Atomic.incr s_queries;
-      ignore (Atomic.fetch_and_add s_hits k);
-      ignore (Atomic.fetch_and_add s_filtered (n - k));
-      Probe.add c_hits k;
-      Probe.add c_filtered (n - k);
+      Metrics.incr c_queries;
+      Metrics.add c_hits k;
+      Metrics.add c_filtered (n - k);
       List.map (fun slot -> fst b.b_items.(slot)) slots)
+
+let bucket t name =
+  match Hashtbl.find_opt t.i_buckets name with
+  | None -> []
+  | Some b -> b.b_all
 
 let ok t = t.i_ok
 

@@ -57,6 +57,12 @@ val build : ?gen:int -> lhs:('a -> Term.t) -> 'a list -> 'a t
     bucket is returned and counted as a fallback. *)
 val candidates : 'a t -> Term.t -> 'a list
 
+(** [bucket t name] is every entry whose left-hand side has head operator
+    [name], in insertion order ([[]] when there is none) — the answer of
+    a linear scan by head operator, with no filtering and no accounting.
+    Built once by {!build}, so the call does not allocate. *)
+val bucket : 'a t -> string -> 'a list
+
 (** [ok t] is [false] once {!validate} has detected corruption (every
     query then falls back to the full bucket). *)
 val ok : 'a t -> bool
@@ -79,11 +85,12 @@ val info : 'a t -> info
 
 (** {1 Process-wide query accounting}
 
-    Mirrors the normal-form memo's always-on counters: per-query atomics
-    summed across every index in the process, plus [kernel.index.*]
-    {!Telemetry.Probe} counters for profiled runs.  Queries on head
-    operators with no rules at all are not counted — they do no filtering
-    work and would drown the ratio in constructor noise. *)
+    The [kernel.index.*] {!Telemetry.Metrics} counters, summed across
+    every index in the process and always on.  Queries on head operators
+    with no rules at all are not counted — they do no filtering work and
+    would drown the ratio in constructor noise.  {!Telemetry.Probe.reset}
+    zeroes them; to measure one stretch of work, subtract two {!stats}
+    readings. *)
 
 type stats = {
   queries : int;  (** candidate lookups answered by index filtering *)
@@ -96,12 +103,11 @@ type stats = {
 }
 
 val stats : unit -> stats
-val reset_stats : unit -> unit
 
-(** [note_fallback n] records one full-bucket answer of size [n] made by a
-    caller that bypassed the index (the rewriter's linear-scan path when
-    indexing is disabled). *)
-val note_fallback : int -> unit
+(** [note_fallback ()] records one full-bucket answer made by a caller
+    that bypassed the index (the rewriter's linear-scan path when indexing
+    is disabled). *)
+val note_fallback : unit -> unit
 
 (**/**)
 

@@ -1,4 +1,5 @@
 module Probe = Telemetry.Probe
+module Metrics = Telemetry.Metrics
 
 type rule = {
   label : string;
@@ -97,12 +98,12 @@ let memo_create () =
     m_misses = Atomic.make 0;
   }
 
-(* The per-system atomics above are the source of truth (memo_stats);
-   the telemetry counters mirror them across every system so a profiled
-   run sees one process-wide hit/miss figure without holding a system. *)
-let c_memo_hits = Probe.counter "kernel.memo.hits"
-let c_memo_misses = Probe.counter "kernel.memo.misses"
-let c_memo_invalidations = Probe.counter "kernel.memo.invalidations"
+(* The per-system atomics above answer [memo_stats]; the registry
+   counters sum them across every system, so a run sees one process-wide
+   hit/miss figure without holding a system. *)
+let c_memo_hits = Metrics.counter "kernel.memo.hits"
+let c_memo_misses = Metrics.counter "kernel.memo.misses"
+let c_memo_invalidations = Metrics.counter "kernel.memo.invalidations"
 
 let memo_find m t =
   let s = m.m_shards.(Term.hash t land (memo_shard_count - 1)) in
@@ -112,11 +113,11 @@ let memo_find m t =
   match r with
   | Some (g, nf) when g = Atomic.get m.m_gen ->
     Atomic.incr m.m_hits;
-    Probe.incr c_memo_hits;
+    Metrics.incr c_memo_hits;
     Some nf
   | Some _ | None ->
     Atomic.incr m.m_misses;
-    Probe.incr c_memo_misses;
+    Metrics.incr c_memo_misses;
     None
 
 let memo_store m t nf =
@@ -147,8 +148,7 @@ type memo_stats = { hits : int; misses : int; entries : int; generation : int }
 
 type system = {
   ordered : rule list;
-  index : (string, rule list) Hashtbl.t;  (** head operator name -> rules *)
-  dtree : rule Index.t;  (** discrimination-tree index over the same rules *)
+  dtree : rule Index.t;  (** discrimination-tree index over [ordered] *)
   mutable indexing : bool;  (** [false]: rule selection via the linear scan *)
   memo : memo;
   mutable dcache : deriv Term.Tbl.t option;
@@ -160,21 +160,6 @@ type system = {
   mutable budget : int;
   info : sys_info;
 }
-
-let head_name r =
-  match Term.view r.lhs with
-  | Term.App (o, _) -> o.Signature.name
-  | Term.Var _ -> assert false
-
-let build_index rules =
-  let index = Hashtbl.create 64 in
-  List.iter
-    (fun r ->
-      let key = head_name r in
-      let existing = Option.value ~default:[] (Hashtbl.find_opt index key) in
-      Hashtbl.replace index key (existing @ [ r ]))
-    rules;
-  index
 
 let uid_counter = Atomic.make 0
 let fresh_uid () = Atomic.fetch_and_add uid_counter 1
@@ -197,7 +182,6 @@ let make rules =
   (match Index.validate dtree with Ok () | Error _ -> ());
   {
     ordered = rules;
-    index = build_index rules;
     dtree;
     indexing = default_indexing ();
     memo = memo_create ();
@@ -223,7 +207,6 @@ let extend sys extra =
   let uid = fresh_uid () in
   {
     ordered = rules;
-    index = build_index rules;
     dtree = build_dtree uid rules;
     indexing = sys.indexing;
     memo = memo_create ();
@@ -264,7 +247,7 @@ let clear_cache sys =
 
 let invalidate_memo sys =
   Atomic.incr sys.memo.m_gen;
-  Probe.incr c_memo_invalidations
+  Metrics.incr c_memo_invalidations
 
 let memo_stats sys =
   {
@@ -288,13 +271,10 @@ let tick sys =
          { limit = Deadline sys.deadline; steps = sys.step_limit - sys.budget })
 
 (* The seed engine's rule selection: every rule under the subject's head
-   operator name, in rule order.  Kept verbatim as the reference the
-   differential suite compares the index against, and as the fallback when
-   indexing is off. *)
-let linear_rules sys o =
-  match Hashtbl.find_opt sys.index o.Signature.name with
-  | None -> []
-  | Some rs -> rs
+   operator name, in rule order — the index's unfiltered head bucket.
+   The reference the differential suite compares the index against, and
+   the fallback when indexing is off. *)
+let linear_rules sys name = Index.bucket sys.dtree name
 
 (* Indexed rule selection.  [Index.candidates] is never-miss and preserves
    rule order, so the rule that fires — and with it every normal form,
@@ -305,8 +285,8 @@ let linear_rules sys o =
 let sys_rules sys t o =
   if sys.indexing then Index.candidates sys.dtree t
   else begin
-    let rs = linear_rules sys o in
-    if rs <> [] then Index.note_fallback (List.length rs);
+    let rs = linear_rules sys o.Signature.name in
+    if rs <> [] then Index.note_fallback ();
     rs
   end
 
@@ -504,7 +484,7 @@ let uncached () =
     store = (fun _ t nf -> Term.Tbl.replace tbl t nf);
     (* the reference path selects rules by linear scan, unconditionally,
        and does not count fallbacks — it is the baseline, not a fallback *)
-    rules = (fun sys _ o -> linear_rules sys o);
+    rules = (fun sys _ o -> linear_rules sys o.Signature.name);
   }
 
 (* Traced runs: [dcache], indexed selection, derivations. *)

@@ -132,7 +132,9 @@ val memo_stats : system -> memo_stats
     with and without it — only the number of failed match attempts
     changes.  {!normalize}, {!normalize_traced} and the global tracer
     select through the index; {!normalize_uncached} always uses the
-    linear scan (it is the differential baseline).
+    linear scan (it is the differential baseline).  The linear scan reads
+    the index's unfiltered head bucket ({!Index.bucket}), so a system
+    keeps one rule index, not two.
 
     Index⇄memo generation interaction: the index is keyed to the rule
     set, the memo to the {e meaning} of that rule set.  [extend] rebuilds

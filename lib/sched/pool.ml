@@ -1,18 +1,19 @@
 exception Deadlock
 
 module Probe = Telemetry.Probe
+module Metrics = Telemetry.Metrics
 
 (* Pool telemetry: submissions by entry path, successful steals, entries
-   executed and the time spent executing them (per-domain cells — the
-   busy-ns total divided by pool wall time is worker utilization), plus a
-   high-water mark for the owner deque depth.  All of it is behind the
-   probe's single-branch guard. *)
-let c_pushes_local = Probe.counter "sched.pushes_local"
-let c_injected = Probe.counter "sched.injected"
-let c_steals = Probe.counter "sched.steals"
-let c_tasks = Probe.counter "sched.tasks_run"
-let c_busy_ns = Probe.counter "sched.busy_ns"
-let c_queue_peak = Probe.counter ~mode:`Max "sched.queue_depth_peak"
+   executed and the time spent executing them (the busy-ns total divided
+   by pool wall time is worker utilization), plus a high-water mark for
+   the owner deque depth.  Always on: one atomic update per event, and
+   the events are task-grained. *)
+let c_pushes_local = Metrics.counter "sched.pushes_local"
+let c_injected = Metrics.counter "sched.injected"
+let c_steals = Metrics.counter "sched.steals"
+let c_tasks = Metrics.counter "sched.tasks_run"
+let c_busy_ns = Metrics.counter "sched.busy_ns"
+let c_queue_peak = Metrics.counter "sched.queue_depth_peak"
 
 (* ------------------------------------------------------------------ *)
 (* Chase-Lev work-stealing deque (Chase & Lev, SPAA 2005), the dynamic
@@ -152,7 +153,7 @@ let find_work pool me =
         else
           match Deque.steal pool.deques.(j) with
           | Some _ as r ->
-            Probe.incr c_steals;
+            Metrics.incr c_steals;
             r
           | None -> try_steal (k + 1)
     in
@@ -161,15 +162,12 @@ let find_work pool me =
     | None -> Chan.try_recv pool.inject)
 
 (* Entries trap their own exceptions into the task (see [submit]), so the
-   timed branch needs no handler. *)
+   timing needs no handler. *)
 let run_entry (e : entry) =
-  if not (Probe.enabled ()) then e ()
-  else begin
-    Probe.incr c_tasks;
-    let t0 = Probe.now_ns () in
-    e ();
-    Probe.add c_busy_ns (Probe.now_ns () - t0)
-  end
+  Metrics.incr c_tasks;
+  let t0 = Probe.now_ns () in
+  e ();
+  Metrics.add c_busy_ns (Probe.now_ns () - t0)
 
 let worker_loop pool i () =
   Domain.DLS.get worker_id := Some (pool.uid, i);
@@ -250,12 +248,10 @@ let submit pool f =
   | Some i ->
     let q = pool.deques.(i) in
     Deque.push q entry;
-    if Probe.enabled () then begin
-      Probe.incr c_pushes_local;
-      Probe.record_max c_queue_peak (Atomic.get q.Deque.bottom - Atomic.get q.Deque.top)
-    end
+    Metrics.incr c_pushes_local;
+    Metrics.record_max c_queue_peak (Atomic.get q.Deque.bottom - Atomic.get q.Deque.top)
   | None ->
-    Probe.incr c_injected;
+    Metrics.incr c_injected;
     Chan.send pool.inject entry);
   Atomic.incr pool.epoch;
   wake_all pool;
@@ -331,15 +327,13 @@ let shutdown pool =
     wake_all pool;
     Array.iter Domain.join pool.domains;
     pool.domains <- [||];
-    if Probe.enabled () then begin
-      (* busy time over worker-seconds available; the caller domain also
-         helps in [await], so > 1.0 is possible on small pools *)
-      let elapsed = Probe.now_ns () - pool.born_ns in
-      let capacity = elapsed * max 1 (Array.length pool.deques) in
-      if capacity > 0 then
-        Probe.set_gauge "sched.utilization"
-          (float_of_int (Probe.value c_busy_ns) /. float_of_int capacity)
-    end
+    (* busy time over worker-seconds available; the caller domain also
+       helps in [await], so > 1.0 is possible on small pools *)
+    let elapsed = Probe.now_ns () - pool.born_ns in
+    let capacity = elapsed * max 1 (Array.length pool.deques) in
+    if capacity > 0 then
+      Metrics.set_gauge "sched.utilization"
+        (float_of_int (Metrics.value c_busy_ns) /. float_of_int capacity)
   end
 
 let with_pool ~jobs f =

@@ -53,7 +53,7 @@ val active : profile:bool -> trace_out:string -> bool
 
 (** [flush ~profile ~trace_out ()] is a no-op unless {!active}.
     Otherwise: runs [gauges] (default none) and records each returned
-    pair with {!Probe.set_gauge}, snapshots, writes [trace_out] (when
+    pair with {!Metrics.set_gauge}, snapshots, writes [trace_out] (when
     non-empty, announcing the file and span count on [out]) and — when
     [profile] — prints the top-[top] hotspot report to [out] (default
     {!Format.std_formatter}). *)

@@ -7,7 +7,7 @@
       match-attempt components split out);
     - per-invariant proof-case table (from [cat = "case"] spans), slowest
       first, with the domain each case ran on;
-    - the merged counters and gauges;
+    - every {!Metrics} counter and gauge;
     - the span count and how many spans the buffer cap dropped. *)
 
 (** [hot_rules ?top snap] is the rule profile sorted by descending

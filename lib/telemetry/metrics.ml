@@ -36,6 +36,12 @@ let incr c = Atomic.incr c
 let add c n = ignore (Atomic.fetch_and_add c n)
 let value c = Atomic.get c
 
+let rec record_max cell v =
+  let cur = Atomic.get cell in
+  if v <= cur then ()
+  else if Atomic.compare_and_set cell cur v then ()
+  else record_max cell v
+
 let set_gauge name v =
   with_lock @@ fun () ->
   match Hashtbl.find_opt gauges name with
@@ -67,17 +73,11 @@ let bucket_of_ns ns =
 
 let bucket_bound_ns i = base_ns * (1 lsl i)
 
-let rec atomic_max cell v =
-  let cur = Atomic.get cell in
-  if v <= cur then ()
-  else if Atomic.compare_and_set cell cur v then ()
-  else atomic_max cell v
-
 let observe_ns h ns =
   let ns = max 0 ns in
   Atomic.incr h.cells.(bucket_of_ns ns);
   ignore (Atomic.fetch_and_add h.sum_ns ns);
-  atomic_max h.max_ns ns
+  record_max h.max_ns ns
 
 let observe_s h dt = observe_ns h (int_of_float (dt *. 1e9))
 
@@ -150,7 +150,7 @@ let snapshot () =
 let reset () =
   with_lock @@ fun () ->
   Hashtbl.iter (fun _ c -> Atomic.set c 0) counters;
-  Hashtbl.iter (fun _ r -> r := 0.) gauges;
+  Hashtbl.reset gauges;
   Hashtbl.iter
     (fun _ h ->
       Array.iter (fun c -> Atomic.set c 0) h.cells;

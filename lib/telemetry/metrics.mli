@@ -1,11 +1,13 @@
-(** Always-on operational metrics for long-lived processes.
+(** Every counter and gauge of the process, always on.
 
-    {!Probe} is profiling instrumentation: zero-cost when disabled and
-    meant to be switched on for one run at a time.  A resident server
-    instead needs a handful of {e operational} metrics — requests served,
-    cache hits, latency distributions — that are cheap enough to leave on
-    forever (an atomic increment per event) and can be snapshotted at any
-    moment while requests are in flight.
+    This is the one registry behind [--profile], Perfetto traces, the
+    daemon's [/metrics] and [bench --json]: kernel ([kernel.*]),
+    scheduler ([sched.*]), secrecy ([secrecy.*]), model-checker and
+    server instruments all live here.  A counter is one atomic, so it is
+    cheap enough to leave on forever (one uncontended increment per event)
+    and can be snapshotted at any moment while work is in flight.
+    {!Probe} keeps only what costs time to record — spans, request ids
+    and per-rule profiles — and is zero-cost when disabled.
 
     All registration functions return the existing instrument when the
     name is already taken, so modules can register at initialization time
@@ -16,13 +18,21 @@
 type counter
 
 val counter : string -> counter
+
 val incr : counter -> unit
 val add : counter -> int -> unit
+
+(** [record_max c v] raises [c] to [v] if [v] is larger: a counter
+    updated only this way is a high-water mark. *)
+val record_max : counter -> int -> unit
+
 val value : counter -> int
 
 (** {1 Gauges}
 
-    Point-in-time values, overwritten on every set. *)
+    Point-in-time values (memo hit rates, intern-table occupancy, pool
+    utilization), overwritten on every set.  Gauges are written at
+    reporting time, not on hot paths. *)
 
 val set_gauge : string -> float -> unit
 
@@ -83,5 +93,7 @@ type snapshot = {
 
 val snapshot : unit -> snapshot
 
-(** [reset ()] zeroes every registered instrument (tests only). *)
+(** [reset ()] zeroes every counter and histogram and forgets every
+    gauge.  {!Probe.reset} calls it; like that, it assumes no domain is
+    recording. *)
 val reset : unit -> unit

@@ -7,8 +7,8 @@
     - one track (tid) per recording domain, named [domain N];
     - every span becomes a complete event ([ph = "X"]) with microsecond
       [ts]/[dur], timestamps rebased to the snapshot's earliest span;
-    - counters and gauges ride along in the top-level ["otherData"]
-      object, which both viewers preserve.
+    - the {!Metrics} counters and gauges ride along in the top-level
+      ["otherData"] object, which both viewers preserve.
 
     Nesting needs no explicit parent links: complete events on the same
     track nest by interval containment, which is exactly how the spans

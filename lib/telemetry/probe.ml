@@ -1,11 +1,10 @@
 (* Per-domain recording, merged at snapshot time.
 
    Every hot-path operation touches only domain-local state reached
-   through [Domain.DLS]: a span/profile buffer per domain, and one cell
-   per (counter, domain).  The only global synchronization is the
-   registration of a fresh buffer or cell (once per domain per object,
-   under a mutex) and the snapshot/reset pass, which is documented as
-   quiescent-only. *)
+   through [Domain.DLS]: one span/profile buffer per domain.  The only
+   global synchronization is the registration of a fresh buffer (once per
+   domain, under a mutex) and the snapshot/reset pass, which is
+   documented as quiescent-only. *)
 
 let enabled_flag = Atomic.make false
 let set_enabled b = Atomic.set enabled_flag b
@@ -231,69 +230,6 @@ let rule_exit f ~kind ~label =
       ~name:label ~t0:f.fr_t0 ~dur:total ~depth:(List.length b.db_stack)
 
 (* ------------------------------------------------------------------ *)
-(* Counters *)
-
-type counter = {
-  c_name : string;
-  c_mode : [ `Sum | `Max ];
-  c_lock : Mutex.t;
-  mutable c_cells : int ref list;
-  c_key : int ref Domain.DLS.key;
-}
-
-let counters_lock = Mutex.create ()
-let all_counters : counter list ref = ref []
-
-let counter ?(mode = `Sum) name =
-  let rec c =
-    lazy
-      {
-        c_name = name;
-        c_mode = mode;
-        c_lock = Mutex.create ();
-        c_cells = [];
-        c_key =
-          Domain.DLS.new_key (fun () ->
-              let cell = ref 0 in
-              let c = Lazy.force c in
-              Mutex.protect c.c_lock (fun () -> c.c_cells <- cell :: c.c_cells);
-              cell);
-      }
-  in
-  let c = Lazy.force c in
-  Mutex.protect counters_lock (fun () -> all_counters := c :: !all_counters);
-  c
-
-let incr c = if enabled () then Stdlib.incr (Domain.DLS.get c.c_key)
-
-let add c n =
-  if enabled () then begin
-    let cell = Domain.DLS.get c.c_key in
-    cell := !cell + n
-  end
-
-let record_max c n =
-  if enabled () then begin
-    let cell = Domain.DLS.get c.c_key in
-    if n > !cell then cell := n
-  end
-
-let value c =
-  Mutex.protect c.c_lock (fun () ->
-      match c.c_mode with
-      | `Sum -> List.fold_left (fun acc cell -> acc + !cell) 0 c.c_cells
-      | `Max -> List.fold_left (fun acc cell -> max acc !cell) 0 c.c_cells)
-
-(* ------------------------------------------------------------------ *)
-(* Gauges *)
-
-let gauges_lock = Mutex.create ()
-let gauges : (string, float) Hashtbl.t = Hashtbl.create 32
-
-let set_gauge name v =
-  Mutex.protect gauges_lock (fun () -> Hashtbl.replace gauges name v)
-
-(* ------------------------------------------------------------------ *)
 (* Snapshot / reset *)
 
 type rule_stat = {
@@ -386,21 +322,12 @@ let snapshot () =
         :: acc)
       merged []
   in
-  let counters =
-    Mutex.protect counters_lock (fun () -> !all_counters)
-    |> List.map (fun c -> c.c_name, value c)
-    |> List.sort_uniq compare
-  in
-  let gauges =
-    Mutex.protect gauges_lock (fun () ->
-        Hashtbl.fold (fun k v acc -> (k, v) :: acc) gauges [])
-    |> List.sort compare
-  in
+  let m = Metrics.snapshot () in
   {
     sn_spans = spans;
     sn_rules = rules;
-    sn_counters = counters;
-    sn_gauges = gauges;
+    sn_counters = m.Metrics.m_counters;
+    sn_gauges = m.Metrics.m_gauges;
     sn_dropped = List.fold_left (fun acc b -> acc + b.db_dropped) 0 bufs;
     sn_dropped_by_dom =
       (* group-sum per domain: a domain id appears once even if several
@@ -429,9 +356,4 @@ let reset () =
       b.db_req <- "";
       Hashtbl.reset b.db_rules)
     bufs;
-  List.iter
-    (fun c ->
-      Mutex.protect c.c_lock (fun () ->
-          List.iter (fun cell -> cell := 0) c.c_cells))
-    (Mutex.protect counters_lock (fun () -> !all_counters));
-  Mutex.protect gauges_lock (fun () -> Hashtbl.reset gauges)
+  Metrics.reset ()

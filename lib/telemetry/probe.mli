@@ -1,20 +1,24 @@
-(** Structured runtime telemetry: spans, counters and per-rule profiles.
+(** Profiling telemetry: spans, request ids and per-rule profiles.
 
     The verification stack is instrumented at four altitudes — proof score,
-    proof case, [red] (one normalization), rule application — plus a set of
-    engine counters (AC-matcher backtracks, sched-pool steals, …).  All
-    recording funnels through this module:
+    proof case, [red] (one normalization), rule application.  All of it
+    funnels through this module:
 
     - {b zero-cost when disabled}: every probe is guarded by one load of an
       atomic flag; with the flag off the instrumented code paths are the
       un-instrumented ones plus a single branch.  The differential suite
       asserts byte-identical normal forms and step counts either way.
     - {b domain-safe and contention-free}: each domain records into its own
-      buffer (spans, rule profiles) or its own counter cell, discovered
-      through [Domain.DLS]; nothing is shared on the hot path.  Buffers are
-      merged under a registry lock only at {!snapshot} time.
+      buffer, discovered through [Domain.DLS]; nothing is shared on the
+      hot path.  Buffers are merged under a registry lock only at
+      {!snapshot} time.
     - {b monotonic}: all timestamps come from the OS monotonic clock
       ([CLOCK_MONOTONIC], nanoseconds), never from wall-clock time.
+
+    Counters and gauges (AC-matcher backtracks, memo hits, sched-pool
+    steals, …) are not recorded here: they live in {!Metrics}, always on.
+    A {!snapshot} carries that registry's counters and gauges next to the
+    spans, so every renderer reads one view.
 
     {!snapshot} and {!reset} assume quiescence (no domain actively
     recording): take them after pool work has settled, as the CLIs do. *)
@@ -74,37 +78,6 @@ val set_request : string option -> unit
     set to [r], restoring the previous id afterwards (also on raise). *)
 val with_request : string option -> (unit -> 'a) -> 'a
 
-(** {1 Counters}
-
-    A counter owns one cell per domain (created on first use through
-    [Domain.DLS]); increments are plain stores to the local cell, and
-    {!value} merges the cells — by sum ([`Sum], default) or maximum
-    ([`Max]).  All mutating operations are no-ops while disabled. *)
-
-type counter
-
-(** [counter ?mode name] registers a counter.  Call at module
-    initialization time, once per name. *)
-val counter : ?mode:[ `Sum | `Max ] -> string -> counter
-
-val incr : counter -> unit
-val add : counter -> int -> unit
-
-(** [record_max c v] raises a [`Max] counter's local cell to [v]. *)
-val record_max : counter -> int -> unit
-
-(** [value c] merges all domains' cells (sum or max, per the mode). *)
-val value : counter -> int
-
-(** {1 Gauges}
-
-    Point-in-time values sampled by the reporting layer (memo hit rates,
-    intern-table occupancy, pool utilization).  Unlike counters, gauges are
-    set unconditionally — they are written at flush time, not on hot
-    paths. *)
-
-val set_gauge : string -> float -> unit
-
 (** {1 Per-rule profiling}
 
     The rewriter brackets every rule application (and every condition
@@ -161,8 +134,9 @@ type rule_stat = {
 type snapshot = {
   sn_spans : span list;  (** all domains, sorted by start time *)
   sn_rules : rule_stat list;  (** merged across domains, unsorted *)
-  sn_counters : (string * int) list;  (** sorted by name *)
-  sn_gauges : (string * float) list;  (** sorted by name *)
+  sn_counters : (string * int) list;
+      (** every {!Metrics} counter, sorted by name *)
+  sn_gauges : (string * float) list;  (** every {!Metrics} gauge, sorted by name *)
   sn_dropped : int;  (** spans lost to the per-domain buffer cap *)
   sn_dropped_by_dom : (int * int) list;
       (** the same drops, attributed per domain id (only domains that
@@ -172,6 +146,7 @@ type snapshot = {
 
 val snapshot : unit -> snapshot
 
-(** [reset ()] clears every buffer, counter cell and gauge (the enabled
-    flag and minimum-duration threshold are left as they are). *)
+(** [reset ()] clears every buffer and resets the {!Metrics} registry
+    ({!Metrics.reset}); the enabled flag and minimum-duration threshold
+    are left as they are. *)
 val reset : unit -> unit

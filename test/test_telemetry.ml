@@ -9,6 +9,7 @@
    timestamps are not). *)
 
 module Probe = Telemetry.Probe
+module Metrics = Telemetry.Metrics
 
 (* Every test leaves the global recorder the way it found it: disabled,
    empty, no span threshold. *)
@@ -109,7 +110,7 @@ let test_differential_on_off () =
 (* Concurrent recording *)
 
 let test_concurrent_pool () =
-  let c = Probe.counter "test.concurrent" in
+  let c = Metrics.counter "test.concurrent" in
   Probe.set_enabled true;
   let n = 200 in
   let results =
@@ -117,7 +118,7 @@ let test_concurrent_pool () =
     Sched.Pool.parallel_map pool
       (fun i ->
         Probe.with_span ~cat:"outer" "o" @@ fun () ->
-        Probe.add c i;
+        Metrics.add c i;
         Probe.with_span ~cat:"inner" "i" (fun () -> i * 2))
       (List.init n (fun i -> i))
   in
@@ -126,7 +127,7 @@ let test_concurrent_pool () =
     "pool results intact"
     (List.init n (fun i -> i * 2))
     results;
-  Alcotest.(check int) "counter merges across domains" (n * (n - 1) / 2) (Probe.value c);
+  Alcotest.(check int) "counter merges across domains" (n * (n - 1) / 2) (Metrics.value c);
   let snap = Probe.snapshot () in
   let spans = snap.Probe.sn_spans in
   Alcotest.(check int) "two spans per task" (2 * n)
@@ -240,8 +241,7 @@ let test_rule_stats_vs_steps () =
 (* Disabled means nothing is recorded *)
 
 let test_disabled_records_nothing () =
-  let c = Probe.counter "test.disabled" in
-  Probe.with_span ~cat:"x" "x" (fun () -> Probe.incr c);
+  Probe.with_span ~cat:"x" "x" (fun () -> ());
   Probe.span_since ~cat:"x" "y" (Probe.now_ns ());
   (* a red through the instrumented kernel, recording off: the rewriter
      must take the guard's unprobed path *)
@@ -249,8 +249,39 @@ let test_disabled_records_nothing () =
   ignore (Cafeobj.Eval.eval_string env pnat_src);
   let snap = Probe.snapshot () in
   Alcotest.(check int) "no spans" 0 (List.length snap.Probe.sn_spans);
-  Alcotest.(check int) "counter untouched" 0 (Probe.value c);
   Alcotest.(check int) "no rule stats" 0 (List.length snap.Probe.sn_rules)
+
+(* ------------------------------------------------------------------ *)
+(* One registry, every renderer *)
+
+(* A counter and a gauge set once in Metrics must reach the hotspot
+   report, the Perfetto trace and the OpenMetrics exposition with the same
+   name and value; and kernel counters count with the profiler off. *)
+let test_one_registry_every_renderer () =
+  Metrics.add (Metrics.counter "test.renderers.count") 42;
+  Metrics.set_gauge "test.renderers.gauge" 0.25;
+  let snap = Probe.snapshot () in
+  let hotspot = Format.asprintf "%a" (Telemetry.Hotspot.pp ~top:10) snap in
+  let perfetto = Telemetry.Perfetto.to_string snap in
+  let om = Telemetry.Obs.render_openmetrics (Metrics.snapshot ()) in
+  List.iter
+    (fun (what, hay, needle) ->
+      Alcotest.(check bool) (what ^ " has " ^ needle) true
+        (Test_obs.contains ~needle hay))
+    [
+      "hotspot", hotspot, Printf.sprintf "  %-36s %d\n" "test.renderers.count" 42;
+      "hotspot", hotspot, Printf.sprintf "  %-36s %.4g\n" "test.renderers.gauge" 0.25;
+      "perfetto", perfetto, {|"test.renderers.count":42|};
+      "perfetto", perfetto, {|"test.renderers.gauge":0.25|};
+      "openmetrics", om, "\ntest_renderers_count_total 42\n";
+      "openmetrics", om, "\ntest_renderers_gauge 0.25\n";
+    ];
+  let hits = Metrics.counter "kernel.memo.hits" in
+  let before = Metrics.value hits in
+  Alcotest.(check bool) "profiler off" false (Probe.enabled ());
+  ignore (Cafeobj.Eval.eval_string (Cafeobj.Eval.create ()) pnat_src);
+  Alcotest.(check bool) "kernel.memo.hits advances with the profiler off" true
+    (Metrics.value hits > before)
 
 (* ------------------------------------------------------------------ *)
 (* The one JSON string escaper *)
@@ -287,5 +318,7 @@ let suite =
         (scrubbed test_rule_stats_vs_steps);
       Alcotest.test_case "disabled records nothing" `Quick
         (scrubbed test_disabled_records_nothing);
+      Alcotest.test_case "one registry, every renderer" `Quick
+        (scrubbed test_one_registry_every_renderer);
       Alcotest.test_case "json escape table" `Quick test_json_escape;
     ] )
