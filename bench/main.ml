@@ -29,6 +29,12 @@ let records : record list ref = ref []
 let lint_ms = ref 0.0
 let certify_ms = ref 0.0
 let cert_bytes = ref 0
+
+(* E14's certificate emission by phase: LPO search, confluence
+   certificates, serialization *)
+let cert_lpo_ms = ref 0.0
+let cert_confluence_ms = ref 0.0
+let cert_serialize_ms = ref 0.0
 let red_untraced_ms = ref 0.0
 let red_traced_ms = ref 0.0
 let red_memo_ms = ref 0.0
@@ -94,7 +100,9 @@ let write_json file ~jobs =
   let oc = open_out file in
   Printf.fprintf oc
     "{\n  \"jobs\": %d,\n  \"lint_ms\": %.3f,\n  \"certify_ms\": %.3f,\n  \
-     \"cert_bytes\": %d,\n  \"red_untraced_ms\": %.3f,\n  \"red_traced_ms\": \
+     \"cert_bytes\": %d,\n  \"cert_lpo_ms\": %.3f,\n  \
+     \"cert_confluence_ms\": %.3f,\n  \"cert_serialize_ms\": %.3f,\n  \
+     \"red_untraced_ms\": %.3f,\n  \"red_traced_ms\": \
      %.3f,\n  \"red_memo_ms\": %.3f,\n  \"memo_hit_rate\": %.4f,\n  \
      \"intern_table_len\": %d,\n  \"telemetry_overhead_pct\": %.2f,\n  \
      \"server_cold_ms\": %.3f,\n  \"server_warm_ms\": %.3f,\n  \
@@ -112,7 +120,8 @@ let write_json file ~jobs =
      \"spans_dropped_by_dom\": {%s},\n  \
      \"counters\": {%s},\n  \
      \"experiments\": ["
-    jobs !lint_ms !certify_ms !cert_bytes !red_untraced_ms !red_traced_ms
+    jobs !lint_ms !certify_ms !cert_bytes !cert_lpo_ms !cert_confluence_ms
+    !cert_serialize_ms !red_untraced_ms !red_traced_ms
     !red_memo_ms !memo_hit_rate !intern_table_len !telemetry_overhead_pct
     !server_cold_ms !server_warm_ms !server_dedup_hit_rate !secrecy_ms
     !horn_clauses !saturation_rounds !mc_full_states !mc_por_states
@@ -502,20 +511,36 @@ let report ~pool () =
    let run_s = Unix.gettimeofday () -. t0 in
    Rewrite.set_tracer None;
    let t0 = Unix.gettimeofday () in
+   let phase_ms f =
+     let t = Unix.gettimeofday () in
+     let x = f () in
+     (x, (Unix.gettimeofday () -. t) *. 1000.)
+   in
    let b = Analysis.Certgen.create () in
    Analysis.Certgen.add_obligations b (Rewrite.obligations tr);
-   let term_res = Analysis.Termination.check spec in
-   if term_res.Analysis.Termination.certified then
-     Analysis.Certgen.add_lpo b
-       ~precedence:term_res.Analysis.Termination.search.Order.precedence
-       (Cafeobj.Spec.all_rules spec);
-   let conf = Analysis.Confluence.check ~pool ~certify:true spec in
-   Analysis.Certgen.add_joins b
-     ~rules:(Cafeobj.Spec.all_rules spec)
-     conf.Analysis.Confluence.certs;
+   let (), lpo_ms =
+     phase_ms (fun () ->
+         let term_res = Analysis.Termination.check spec in
+         if term_res.Analysis.Termination.certified then
+           Analysis.Certgen.add_lpo b
+             ~precedence:term_res.Analysis.Termination.search.Order.precedence
+             (Cafeobj.Spec.all_rules spec))
+   in
+   let (), confluence_ms =
+     phase_ms (fun () ->
+         let conf = Analysis.Confluence.check ~pool ~certify:true spec in
+         Analysis.Certgen.add_joins b
+           ~rules:(Cafeobj.Spec.all_rules spec)
+           conf.Analysis.Confluence.certs)
+   in
    let cert = Analysis.Certgen.cert b in
-   let bytes = String.length (Certify.Cert.to_string cert) in
+   let bytes, serialize_ms =
+     phase_ms (fun () -> String.length (Certify.Cert.to_string cert))
+   in
    let produce_s = Unix.gettimeofday () -. t0 in
+   cert_lpo_ms := lpo_ms;
+   cert_confluence_ms := confluence_ms;
+   cert_serialize_ms := serialize_ms;
    let t0 = Unix.gettimeofday () in
    let res = Analysis.Certgen.check ~pool cert in
    let check_s = Unix.gettimeofday () -. t0 in
@@ -523,9 +548,10 @@ let report ~pool () =
    cert_bytes := bytes;
    Format.printf
      "E14 inv1 certificate: %d obligations, %d steps replayed, %d bytes; \
-      proof %.2fs, emit %.2fs, check %.2fs (check/produce %.2fx)%s@."
+      proof %.2fs, emit %.2fs (lpo %.0f ms, confluence %.0f ms, serialize \
+      %.0f ms), check %.2fs (check/produce %.2fx)%s@."
      res.Analysis.Certgen.obligations res.Analysis.Certgen.steps_replayed bytes
-     run_s produce_s check_s
+     run_s produce_s lpo_ms confluence_ms serialize_ms check_s
      (check_s /. (run_s +. produce_s))
      (if res.Analysis.Certgen.errors = [] then "" else " — REJECTED (unexpected)");
    record "certify-inv1" check_s);

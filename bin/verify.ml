@@ -304,6 +304,7 @@ let () =
       conf.Analysis.Confluence.certs;
     let cert = Analysis.Certgen.cert b in
     let produce_s = Unix.gettimeofday () -. t0 in
+    let t_ser = Unix.gettimeofday () in
     let bytes =
       if !certify_out = "" then String.length (Certify.Cert.to_string cert)
       else begin
@@ -315,6 +316,7 @@ let () =
         String.length s
       end
     in
+    let serialize_s = Unix.gettimeofday () -. t_ser in
     let t1 = Unix.gettimeofday () in
     let res = Analysis.Certgen.check ~pool cert in
     let check_s = Unix.gettimeofday () -. t1 in
@@ -325,7 +327,8 @@ let () =
       (List.length cert.Certify.Cert.joins)
       (if cert.Certify.Cert.lpo = None then "" else ", lpo")
       res.Analysis.Certgen.steps_replayed bytes;
-    Format.printf "certify: produced in %.2fs, checked in %.2fs@." produce_s check_s;
+    Format.printf "certify: produced in %.2fs, serialized in %.2fs, checked in %.2fs@."
+      produce_s serialize_s check_s;
     if !certify_out <> "" then Format.printf "certify: wrote %s@." !certify_out;
     match res.Analysis.Certgen.errors with
     | [] -> Format.printf "certify: certificate ACCEPTED@."

@@ -1,9 +1,10 @@
 (* Certificate AST + S-expression (de)serialization.  See the .mli for the
    documented grammar.  The encoder hash-conses every node (ops, terms,
-   rules, rule sets, derivations) into id-indexed tables, so certificates
-   are DAG-compact regardless of how much sharing the producer achieved;
-   the decoder only ever resolves ids that are already defined (references
-   point backwards), which makes cyclic certificates unrepresentable. *)
+   rules, rule sets, derivations) into id-indexed tables, printing each
+   entry as it is interned, so certificates are DAG-compact regardless of
+   how much sharing the producer achieved; the decoder only ever resolves
+   ids that are already defined (references point backwards), which makes
+   cyclic certificates unrepresentable. *)
 
 type flag = Ac | Comm | Tt | Ff | Not | And | Or | Xor | Implies | Iff | If | Eq
 
@@ -91,13 +92,13 @@ let flag_of_name = function
 (* ------------------------------------------------------------------ *)
 (* Encoding *)
 
-type 'k interner = {
-  keys : ('k, int) Hashtbl.t;
-  mutable entries : Sexp.t list;  (** reversed *)
-  mutable next : int;
-}
+(* One id table of the certificate.  Structurally equal entries share an
+   id, and a new entry is printed into the table's buffer the moment it is
+   interned, so no tree of the whole certificate is ever built.  Ids are
+   assigned in print order, so every reference points backwards. *)
+type 'k interner = { keys : ('k, int) Hashtbl.t; buf : Buffer.t; mutable next : int }
 
-let interner () = { keys = Hashtbl.create 256; entries = []; next = 0 }
+let interner () = { keys = Hashtbl.create 256; buf = Buffer.create 4096; next = 0 }
 
 let intern it key mk =
   match Hashtbl.find_opt it.keys key with
@@ -106,21 +107,31 @@ let intern it key mk =
     let id = it.next in
     it.next <- id + 1;
     Hashtbl.replace it.keys key id;
-    it.entries <- mk id :: it.entries;
+    Buffer.add_char it.buf ' ';
+    Sexp.to_buffer it.buf (mk id);
     id
-
-let entries it = List.rev it.entries
 
 let atom_int n = Sexp.Atom (string_of_int n)
 
-let to_sexp (cert : t) : Sexp.t =
+(* Physical-identity memo in front of an interner: a node the producer
+   shares is encoded once, however many obligations reach it. *)
+let memo phys f x =
+  match Phys.find_opt phys (Obj.repr x) with
+  | Some id -> id
+  | None ->
+    let id = f x in
+    Phys.replace phys (Obj.repr x) id;
+    id
+
+let to_string (cert : t) =
   let ops = interner () in
   let terms = interner () in
   let rules = interner () in
   let rsets = interner () in
   let derivs = interner () in
   let term_phys : int Phys.t = Phys.create 4096 in
-  let deriv_phys : int Phys.t = Phys.create 4096 in
+  let rule_phys : int Phys.t = Phys.create 1024 in
+  let rset_phys : int Phys.t = Phys.create 256 in
   let op_id (o : op) =
     intern ops
       (o.op_name, o.op_arity, o.op_sort, o.op_flags)
@@ -135,127 +146,129 @@ let to_sexp (cert : t) : Sexp.t =
            ]
           @ List.map (fun f -> Sexp.Atom (flag_name f)) o.op_flags))
   in
-  let rec term_id (t : term) =
-    match Phys.find_opt term_phys (Obj.repr t) with
-    | Some id -> id
-    | None ->
-      let id =
-        match t with
-        | V { v_name; v_sort } ->
-          intern terms
-            ("v", v_name, v_sort, [])
-            (fun id ->
-              Sexp.List
-                [
-                  Sexp.Atom "t";
-                  atom_int id;
-                  Sexp.Atom "v";
-                  Sexp.Atom v_name;
-                  Sexp.Atom v_sort;
-                ])
-        | A (o, args) ->
-          let oid = op_id o in
-          let aids = List.map term_id args in
-          intern terms
-            ("a", string_of_int oid, "", aids)
-            (fun id ->
-              Sexp.List
-                ([ Sexp.Atom "t"; atom_int id; Sexp.Atom "a"; atom_int oid ]
-                @ List.map atom_int aids))
-      in
-      Phys.replace term_phys (Obj.repr t) id;
-      id
+  let rec term_id t = memo term_phys term_node t
+  and term_node = function
+    | V { v_name; v_sort } ->
+      intern terms
+        ("v", v_name, v_sort, [])
+        (fun id ->
+          Sexp.List
+            [
+              Sexp.Atom "t";
+              atom_int id;
+              Sexp.Atom "v";
+              Sexp.Atom v_name;
+              Sexp.Atom v_sort;
+            ])
+    | A (o, args) ->
+      let oid = op_id o in
+      let aids = List.map term_id args in
+      intern terms
+        ("a", string_of_int oid, "", aids)
+        (fun id ->
+          Sexp.List
+            ([ Sexp.Atom "t"; atom_int id; Sexp.Atom "a"; atom_int oid ]
+            @ List.map atom_int aids))
   in
-  let rule_id (r : rule) =
-    let lid = term_id r.r_lhs and rid = term_id r.r_rhs in
-    let cid = Option.map term_id r.r_cond in
-    intern rules
-      (r.r_label, lid, rid, cid)
-      (fun id ->
-        Sexp.List
-          ([
-             Sexp.Atom "rule";
-             atom_int id;
-             Sexp.Atom r.r_label;
-             atom_int lid;
-             atom_int rid;
-           ]
-          @ match cid with None -> [] | Some c -> [ atom_int c ]))
+  let rule_id =
+    memo rule_phys (fun (r : rule) ->
+        let lid = term_id r.r_lhs and rid = term_id r.r_rhs in
+        let cid = Option.map term_id r.r_cond in
+        intern rules
+          (r.r_label, lid, rid, cid)
+          (fun id ->
+            Sexp.List
+              ([
+                 Sexp.Atom "rule";
+                 atom_int id;
+                 Sexp.Atom r.r_label;
+                 atom_int lid;
+                 atom_int rid;
+               ]
+              @ match cid with None -> [] | Some c -> [ atom_int c ])))
   in
-  let rec rset_id (rs : rset) =
+  let rec rset_id rs = memo rset_phys rset_node rs
+  and rset_node rs =
     let pid = match rs.rs_parent with None -> -1 | Some p -> rset_id p in
     let rids = List.map rule_id rs.rs_rules in
     intern rsets (pid, rids) (fun id ->
         Sexp.List
           ([ Sexp.Atom "rs"; atom_int id; atom_int pid ] @ List.map atom_int rids))
   in
+  (* Derivations skip [Phys].  A trivial one's structural key is a single
+     term id, as cheap as a memo lookup; the producer makes hundreds of
+     physical copies of some, which would all share one [Phys] bucket.
+     Any other derivation is memoized under its (input, output) term ids,
+     a far sharper hash than the structural one [Phys] computes. *)
+  let app_memo : (int * int, (deriv * int) list) Hashtbl.t = Hashtbl.create 4096 in
   let rec deriv_id (d : deriv) =
-    match Phys.find_opt deriv_phys (Obj.repr d) with
-    | Some id -> id
-    | None ->
-      let id =
-        match d.d_node with
-        | Triv ->
-          let tid = term_id d.d_in in
-          intern derivs
-            [ -1; tid ]
-            (fun id ->
-              Sexp.List [ Sexp.Atom "d"; atom_int id; Sexp.Atom "triv"; atom_int tid ])
-        | App { children; perm; step } ->
-          let iid = term_id d.d_in and oid = term_id d.d_out in
-          let cids = List.map deriv_id children in
-          let perm_part =
-            match perm with
-            | None -> []
-            | Some p -> [ Sexp.List (Sexp.Atom "perm" :: List.map atom_int p) ]
-          in
-          let step_part, step_key =
-            match step with
-            | None -> ([], [])
-            | Some s ->
-              let rid = rule_id s.s_rule in
-              let sub =
-                List.map
-                  (fun (n, srt, t) ->
-                    let tid = term_id t in
-                    (Sexp.List [ Sexp.Atom n; Sexp.Atom srt; atom_int tid ], tid))
-                  s.s_sub
-              in
-              let cond = Option.map deriv_id s.s_cond in
-              let nid = deriv_id s.s_next in
-              ( [
-                  Sexp.List
-                    ([ Sexp.Atom "step"; atom_int rid ]
-                    @ [ Sexp.List (Sexp.Atom "sub" :: List.map fst sub) ]
-                    @ (match cond with
-                      | None -> []
-                      | Some c -> [ Sexp.List [ Sexp.Atom "cond"; atom_int c ] ])
-                    @ [ atom_int nid ]);
-                ],
-                (-4 :: rid :: nid :: List.map snd sub)
-                @ [ (match cond with None -> -1 | Some c -> c) ] )
-          in
-          (* all ids are >= 0, so the negative markers make the variable-
-             length sections of the key unambiguous *)
-          let key =
-            (-2 :: iid :: oid :: cids)
-            @ (match perm with None -> [ -1 ] | Some p -> -3 :: p)
-            @ (match step_key with [] -> [ -5 ] | k -> k)
-          in
-          intern derivs key (fun id ->
-              Sexp.List
-                ([
-                   Sexp.Atom "d";
-                   atom_int id;
-                   Sexp.Atom "app";
-                   atom_int iid;
-                   atom_int oid;
-                   Sexp.List (List.map atom_int cids);
-                 ]
-                @ perm_part @ step_part))
-      in
-      Phys.replace deriv_phys (Obj.repr d) id;
-      id
+    match d.d_node with
+    | Triv ->
+      let tid = term_id d.d_in in
+      intern derivs
+        [ -1; tid ]
+        (fun id ->
+          Sexp.List [ Sexp.Atom "d"; atom_int id; Sexp.Atom "triv"; atom_int tid ])
+    | App { children; perm; step } -> (
+      let iid = term_id d.d_in and oid = term_id d.d_out in
+      let seen () = Option.value (Hashtbl.find_opt app_memo (iid, oid)) ~default:[] in
+      match List.assq_opt d (seen ()) with
+      | Some id -> id
+      | None ->
+        let id = app_id iid oid children perm step in
+        Hashtbl.replace app_memo (iid, oid) ((d, id) :: seen ());
+        id)
+  and app_id iid oid children perm step =
+    let cids = List.map deriv_id children in
+    let perm_part =
+      match perm with
+      | None -> []
+      | Some p -> [ Sexp.List (Sexp.Atom "perm" :: List.map atom_int p) ]
+    in
+    let step_part, step_key =
+      match step with
+      | None -> ([], [])
+      | Some s ->
+        let rid = rule_id s.s_rule in
+        let sub =
+          List.map
+            (fun (n, srt, t) ->
+              let tid = term_id t in
+              (Sexp.List [ Sexp.Atom n; Sexp.Atom srt; atom_int tid ], tid))
+            s.s_sub
+        in
+        let cond = Option.map deriv_id s.s_cond in
+        let nid = deriv_id s.s_next in
+        ( [
+            Sexp.List
+              ([ Sexp.Atom "step"; atom_int rid ]
+              @ [ Sexp.List (Sexp.Atom "sub" :: List.map fst sub) ]
+              @ (match cond with
+                | None -> []
+                | Some c -> [ Sexp.List [ Sexp.Atom "cond"; atom_int c ] ])
+              @ [ atom_int nid ]);
+          ],
+          (-4 :: rid :: nid :: List.map snd sub)
+          @ [ (match cond with None -> -1 | Some c -> c) ] )
+    in
+    (* all ids are >= 0, so the negative markers make the variable-
+       length sections of the key unambiguous *)
+    let key =
+      (-2 :: iid :: oid :: cids)
+      @ (match perm with None -> [ -1 ] | Some p -> -3 :: p)
+      @ (match step_key with [] -> [ -5 ] | k -> k)
+    in
+    intern derivs key (fun id ->
+        Sexp.List
+          ([
+             Sexp.Atom "d";
+             atom_int id;
+             Sexp.Atom "app";
+             atom_int iid;
+             atom_int oid;
+             Sexp.List (List.map atom_int cids);
+           ]
+          @ perm_part @ step_part))
   in
   let reds =
     List.map
@@ -315,21 +328,36 @@ let to_sexp (cert : t) : Sexp.t =
           ])
       cert.joins
   in
-  Sexp.List
-    ([
-       Sexp.Atom "eqcert";
-       Sexp.List [ Sexp.Atom "version"; atom_int 1 ];
-       Sexp.List (Sexp.Atom "ops" :: entries ops);
-       Sexp.List (Sexp.Atom "terms" :: entries terms);
-       Sexp.List (Sexp.Atom "rules" :: entries rules);
-       Sexp.List (Sexp.Atom "rsets" :: entries rsets);
-       Sexp.List (Sexp.Atom "derivs" :: entries derivs);
-       Sexp.List (Sexp.Atom "reds" :: reds);
-     ]
-    @ lpo
-    @ [ Sexp.List (Sexp.Atom "joins" :: joins) ])
-
-let to_string cert = Sexp.to_string (to_sexp cert)
+  let tail = Buffer.create 4096 in
+  List.iter
+    (fun sx ->
+      Buffer.add_char tail ' ';
+      Sexp.to_buffer tail sx)
+    ((Sexp.List (Sexp.Atom "reds" :: reds) :: lpo)
+    @ [ Sexp.List (Sexp.Atom "joins" :: joins) ]);
+  let sections =
+    [
+      ("ops", ops.buf); ("terms", terms.buf); ("rules", rules.buf);
+      ("rsets", rsets.buf); ("derivs", derivs.buf);
+    ]
+  in
+  let out =
+    Buffer.create
+      (List.fold_left
+         (fun n (_, b) -> n + Buffer.length b + 16)
+         (Buffer.length tail + 64) sections)
+  in
+  Buffer.add_string out "(eqcert (version 1)";
+  List.iter
+    (fun (name, b) ->
+      Buffer.add_string out " (";
+      Buffer.add_string out name;
+      Buffer.add_buffer out b;
+      Buffer.add_char out ')')
+    sections;
+  Buffer.add_buffer out tail;
+  Buffer.add_char out ')';
+  Buffer.contents out
 
 (* ------------------------------------------------------------------ *)
 (* Decoding *)

@@ -44,7 +44,12 @@ TAIL  ::= syn | ring | (split COND-TID JC JC)
 
     The encoder hash-conses every node into the id tables, so the format is
     DAG-compact: a sub-derivation shared by a thousand obligations is
-    serialized once. *)
+    serialized once.  It also streams: {!to_string} prints each table entry
+    into its section the moment the entry is interned, and visits each
+    physically shared node once, so its time is linear in the certificate.
+    No [Sexp.t] of the whole certificate is ever built: each table entry's
+    small tree is printed as soon as it is built.  Certificate bytes depend
+    only on the obligations and their order. *)
 
 type flag = Ac | Comm | Tt | Ff | Not | And | Or | Xor | Implies | Iff | If | Eq
 
@@ -103,7 +108,6 @@ type join = {
 
 type t = { reds : red list; lpo : lpo option; joins : join list }
 
-val to_sexp : t -> Sexp.t
 val to_string : t -> string
 val of_sexp : Sexp.t -> (t, string) result
 val of_string : string -> (t, string) result

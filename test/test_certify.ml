@@ -234,6 +234,128 @@ let test_join_cert () =
   expect_reject "unjoined" bad ~path:"join t1" ~msg:"distinct terms"
 
 (* ------------------------------------------------------------------ *)
+(* Encoder bytes.  A hand-built certificate that uses every grammar
+   production — quoted atoms, op flags, variables, a conditional rule, a
+   two-level rule-set chain shared by two reds, perm/step/cond/next, an
+   LPO section and a split join — must encode to exactly these bytes. *)
+
+let golden_cert () =
+  let op ?(flags = []) name arity sort =
+    { C.op_name = name; op_arity = arity; op_sort = sort; op_flags = flags }
+  in
+  let nat = "TcNat" in
+  let zo = op "tcZ" [] nat and so = op "tcS" [ nat ] nat in
+  let uo = op ~flags:[ C.Ac; C.Comm ] "tc U" [ nat; nat ] nat in
+  let tto = op ~flags:[ C.Tt ] "true" [] "Bool" in
+  let eqo = op ~flags:[ C.Eq ] "_==_" [ nat; nat ] "Bool" in
+  let z = C.A (zo, []) and tt = C.A (tto, []) in
+  let s t = C.A (so, [ t ]) and u a b = C.A (uo, [ a; b ]) in
+  let eq a b = C.A (eqo, [ a; b ]) in
+  let v name = C.V { v_name = name; v_sort = nat } in
+  let triv t = { C.d_in = t; d_out = t; d_node = C.Triv } in
+  let rule ?cond label lhs rhs = { C.r_label = label; r_lhs = lhs; r_rhs = rhs; r_cond = cond } in
+  let r_plain = rule "s-z" (s z) z in
+  let r_cond = rule ~cond:(eq (v "N") z) "u \"c\"" (u (v "M") (v "N")) (s (v "M")) in
+  let r_hyp = rule "hyp" (eq z z) tt in
+  let r_hyp2 = rule "hyp2" (s (s z)) (s z) in
+  let base = { C.rs_parent = None; rs_rules = [ r_plain; r_cond ] } in
+  let mid = { C.rs_parent = Some base; rs_rules = [ r_hyp ] } in
+  let top = { C.rs_parent = Some mid; rs_rules = [ r_hyp2 ] } in
+  let app ?perm ?cond d_in d_out children rule sub next =
+    let step = { C.s_rule = rule; s_sub = sub; s_cond = cond; s_next = next } in
+    { C.d_in; d_out; d_node = C.App { children; perm; step = Some step } }
+  in
+  let d_cond = app (eq z z) tt [] r_hyp [] (triv tt) in
+  let d_main =
+    app ~perm:[ 1; 0 ] ~cond:d_cond (u (v "I") z) (v "O")
+      [ triv (v "I"); triv z ]
+      r_cond
+      [ ("M", nat, v "I"); ("N", nat, z) ]
+      (triv (v "O"))
+  in
+  let red name d =
+    { C.red_name = name; red_rset = top; red_in = d.C.d_in; red_out = d.C.d_out; red_deriv = d }
+  in
+  let jc l r tail = { C.jc_left = triv l; jc_right = triv r; jc_tail = tail } in
+  let fo = op "tcF" [ nat ] nat and go = op "tcG" [] nat in
+  {
+    C.reds = [ red "goal-1" d_main; red "goal 2" (triv (v "M")) ];
+    lpo =
+      Some
+        {
+          C.lpo_prec = [ go; zo; so; uo ];
+          lpo_rules = [ r_plain; rule "f" (C.A (fo, [ z ])) z ];
+        };
+    joins =
+      [
+        {
+          C.j_label = "cp;1";
+          j_rset = mid;
+          j_peak = v "P";
+          j_left = v "L";
+          j_right = v "R";
+          j_cert =
+            jc (v "JL") (v "JR")
+              (C.Jsplit (eq (v "C") z, jc (v "T") (v "T") C.Jsyn, jc (v "F") (v "F") C.Jring));
+        };
+      ];
+  }
+
+let golden_text =
+  String.concat ""
+    [
+      {|(eqcert (version 1) (ops (op 0 tcS (TcNat) TcNat) (op 1 tcZ () TcNat)|};
+      {| (op 2 "tc U" (TcNat TcNat) TcNat ac comm) (op 3 _==_ (TcNat TcNat) Bool eq)|};
+      {| (op 4 true () Bool tt) (op 5 tcG () TcNat) (op 6 tcF (TcNat) TcNat)) (terms|};
+      {| (t 0 a 1) (t 1 a 0 0) (t 2 v M TcNat) (t 3 v N TcNat) (t 4 a 2 2 3) (t 5 a 0 2)|};
+      {| (t 6 a 3 3 0) (t 7 a 3 0 0) (t 8 a 4) (t 9 a 0 1) (t 10 v I TcNat)|};
+      {| (t 11 a 2 10 0) (t 12 v O TcNat) (t 13 a 6 0) (t 14 v JL TcNat)|};
+      {| (t 15 v JR TcNat) (t 16 v F TcNat) (t 17 v T TcNat) (t 18 v C TcNat)|};
+      {| (t 19 a 3 18 0) (t 20 v R TcNat) (t 21 v L TcNat) (t 22 v P TcNat)) (rules|};
+      {| (rule 0 s-z 1 0) (rule 1 "u \"c\"" 4 5 6) (rule 2 hyp 7 8) (rule 3 hyp2 9 1)|};
+      {| (rule 4 f 13 0)) (rsets (rs 0 -1 0 1) (rs 1 0 2) (rs 2 1 3)) (derivs|};
+      {| (d 0 triv 10) (d 1 triv 0) (d 2 triv 8) (d 3 app 7 8 () (step 2 (sub) 2))|};
+      {| (d 4 triv 12)|};
+      {| (d 5 app 11 12 (0 1) (perm 1 0) (step 1 (sub (M TcNat 10) (N TcNat 0)) (cond 3) 4))|};
+      {| (d 6 triv 2) (d 7 triv 14) (d 8 triv 15) (d 9 triv 16) (d 10 triv 17)) (reds|};
+      {| (red goal-1 2 11 12 5) (red "goal 2" 2 2 2 6)) (lpo (prec 5 1 0 2) (rules 0 4))|};
+      {| (joins (join "cp;1" 1 22 21 20 (j 7 8 (split 19 (j 10 10 syn) (j 9 9 ring))))))|};
+    ]
+
+let test_golden_bytes () =
+  Alcotest.(check string) "encoder bytes" golden_text (C.to_string (golden_cert ()))
+
+let count_sub hay needle =
+  let lh = String.length hay and ln = String.length needle in
+  let rec go i n =
+    if i + ln > lh then n else go (i + 1) (if String.sub hay i ln = needle then n + 1 else n)
+  in
+  go 0 0
+
+(* Many reds over one rule set — physically shared, and rebuilt as a
+   structurally equal copy — still emit one entry per distinct rule set
+   and rule. *)
+let test_shared_rset_once () =
+  let g = golden_cert () in
+  let red0 = List.hd g.C.reds in
+  let rs = red0.C.red_rset in
+  let copy =
+    { rs with C.rs_rules = List.map (fun r -> { r with C.r_label = r.C.r_label }) rs.C.rs_rules }
+  in
+  let reds =
+    List.init 200 (fun i ->
+        {
+          red0 with
+          C.red_name = Printf.sprintf "r%d" i;
+          red_rset = (if i mod 2 = 0 then rs else copy);
+        })
+  in
+  let text = C.to_string { C.reds; lpo = None; joins = [] } in
+  Alcotest.(check int) "one (rs ...) per rule set" 3 (count_sub text "(rs ");
+  Alcotest.(check int) "one (rule ...) per rule" 4 (count_sub text "(rule ");
+  Alcotest.(check int) "every red" 200 (count_sub text "(red ")
+
+(* ------------------------------------------------------------------ *)
 (* Serialization fuzz: random certificates (weird atom spellings
    included) must round-trip to structurally identical values. *)
 
@@ -306,5 +428,7 @@ let suite =
       "tamper: bogus AC permutation", `Quick, test_tamper_bogus_perm;
       "LPO certificate and reversed precedence", `Quick, test_lpo_cert;
       "join certificate and unjoined tamper", `Quick, test_join_cert;
+      "encoder bytes are stable", `Quick, test_golden_bytes;
+      "shared rule sets encoded once", `Quick, test_shared_rset_once;
       QCheck_alcotest.to_alcotest prop_roundtrip;
     ] )
