@@ -516,24 +516,16 @@ let report ~pool () =
      let x = f () in
      (x, (Unix.gettimeofday () -. t) *. 1000.)
    in
-   let b = Analysis.Certgen.create () in
-   Analysis.Certgen.add_obligations b (Rewrite.obligations tr);
-   let (), lpo_ms =
-     phase_ms (fun () ->
-         let term_res = Analysis.Termination.check spec in
-         if term_res.Analysis.Termination.certified then
-           Analysis.Certgen.add_lpo b
-             ~precedence:term_res.Analysis.Termination.search.Order.precedence
-             (Cafeobj.Spec.all_rules spec))
+   let precedence, lpo_ms =
+     phase_ms (fun () -> Analysis.Certgen.lpo_precedence spec)
    in
-   let (), confluence_ms =
-     phase_ms (fun () ->
-         let conf = Analysis.Confluence.check ~pool ~certify:true spec in
-         Analysis.Certgen.add_joins b
-           ~rules:(Cafeobj.Spec.all_rules spec)
-           conf.Analysis.Confluence.certs)
+   let joins, confluence_ms =
+     phase_ms (fun () -> Analysis.Certgen.confluence_joins ~pool spec)
    in
-   let cert = Analysis.Certgen.cert b in
+   let cert =
+     Analysis.Certgen.campaign spec (Rewrite.obligations tr)
+       { Analysis.Certgen.precedence; joins }
+   in
    let bytes, serialize_ms =
      phase_ms (fun () -> String.length (Certify.Cert.to_string cert))
    in

@@ -198,6 +198,35 @@ let cert b =
   { C.reds = List.rev b.reds; lpo = b.lpo; joins = List.rev b.joins }
 
 (* ------------------------------------------------------------------ *)
+(* Campaign certificates: traced reds plus the spec's static evidence *)
+
+type static = {
+  precedence : Signature.op list option;
+  joins : (Completion.overlap * Confluence.jcert) list;
+}
+
+let lpo_precedence spec =
+  let term = Termination.check spec in
+  if term.Termination.certified then
+    Some term.Termination.search.Order.precedence
+  else None
+
+let confluence_joins ?pool spec =
+  (Confluence.check ?pool ~certify:true spec).Confluence.certs
+
+let static_evidence ?pool spec =
+  let precedence = lpo_precedence spec in
+  { precedence; joins = confluence_joins ?pool spec }
+
+let campaign spec obligations static =
+  let b = create () in
+  let rules = Cafeobj.Spec.all_rules spec in
+  add_obligations b obligations;
+  Option.iter (fun precedence -> add_lpo b ~precedence rules) static.precedence;
+  add_joins b ~rules static.joins;
+  cert b
+
+(* ------------------------------------------------------------------ *)
 (* Pool-chunked checking.  Each chunk gets its own checker (the memo
    tables are not thread-safe); the LPO obligation rides with the first
    chunk. *)

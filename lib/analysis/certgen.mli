@@ -35,6 +35,37 @@ val add_joins :
 (** [cert b] assembles the certificate (insertion order preserved). *)
 val cert : t -> Certify.Cert.t
 
+(** {1 Campaign certificates} *)
+
+(** The campaign-independent half of a campaign certificate: an LPO
+    precedence orienting every rule of the spec ([None] when the search
+    fails, and the certificate then carries no LPO part) and one join
+    certificate per critical pair. *)
+type static = {
+  precedence : Signature.op list option;
+  joins : (Completion.overlap * Confluence.jcert) list;
+}
+
+(** [lpo_precedence spec] runs {!Termination.check}; the precedence when
+    it certifies. *)
+val lpo_precedence : Cafeobj.Spec.t -> Signature.op list option
+
+(** [confluence_joins ?pool spec] runs {!Confluence.check} with join
+    certificates on. *)
+val confluence_joins :
+  ?pool:Sched.Pool.t ->
+  Cafeobj.Spec.t ->
+  (Completion.overlap * Confluence.jcert) list
+
+(** [static_evidence ?pool spec] is {!lpo_precedence} then
+    {!confluence_joins}.  Computing it once per spec and keeping it is
+    what lets a resident server certify repeated campaigns cheaply. *)
+val static_evidence : ?pool:Sched.Pool.t -> Cafeobj.Spec.t -> static
+
+(** [campaign spec obligations static] is the certificate of a traced
+    campaign over [spec]: its reds, then the LPO and join evidence. *)
+val campaign : Cafeobj.Spec.t -> Rewrite.obligation list -> static -> Certify.Cert.t
+
 (** {1 Chunked checking} *)
 
 type check_result = {

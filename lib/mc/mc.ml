@@ -12,6 +12,57 @@ type ('state, 'action) reduction = {
 
 let no_reduction = { ample = (fun _ -> false); canon = (fun s -> s) }
 
+(* ------------------------------------------------------------------ *)
+(* Symmetry: orbit canonization over interchangeable constants *)
+
+module Term = Kernel.Term
+
+(* Swap constants through a term: simultaneous image under the
+   permutation [map]. *)
+let remap_term map t =
+  let rec go t =
+    match Term.view t with
+    | Term.Var _ -> t
+    | Term.App (_, []) -> (
+      match List.find_opt (fun (c, _) -> Term.equal c t) map with
+      | Some (_, d) -> d
+      | None -> t)
+    | Term.App (o, args) -> Term.app_unchecked o (List.map go args)
+  in
+  go t
+
+let rec permutations = function
+  | [] -> [ [] ]
+  | l ->
+    List.concat_map
+      (fun x ->
+        List.map
+          (fun p -> x :: p)
+          (permutations (List.filter (fun y -> not (Term.equal y x)) l)))
+      l
+
+(* The canonical representative is the permutation image with the
+   smallest key, which makes canonization idempotent by construction. *)
+let canon_over ~remap_state ~key pool =
+  if List.length pool < 2 then fun st -> st
+  else
+    let maps =
+      List.map (List.combine pool) (permutations pool)
+      |> List.filter (List.exists (fun (c, d) -> not (Term.equal c d)))
+    in
+    fun st ->
+      let best = ref st and best_key = ref (key st) in
+      List.iter
+        (fun map ->
+          let st' = remap_state map st in
+          let k' = key st' in
+          if String.compare k' !best_key < 0 then begin
+            best := st';
+            best_key := k'
+          end)
+        maps;
+      !best
+
 type stats = {
   states_explored : int;
   transitions_fired : int;

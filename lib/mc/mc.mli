@@ -46,6 +46,27 @@ type ('state, 'action) reduction = {
   canon : 'state -> 'state;
 }
 
+(** {2 Orbit canonization} *)
+
+(** [remap_term map t] is the simultaneous image of [t] under [map], a
+    permutation of constants given as [(from, to)] pairs. *)
+val remap_term :
+  (Kernel.Term.t * Kernel.Term.t) list -> Kernel.Term.t -> Kernel.Term.t
+
+(** [canon_over ~remap_state ~key pool] is a [canon] for a model whose
+    states are interchangeable under any permutation of the constants in
+    [pool]: it maps a state to the image with the smallest [key] over
+    every permutation of [pool].  [remap_state map s] must rebuild [s]
+    under the permutation [map] (each stored term through
+    {!remap_term}).  Pools of fewer than two constants give the
+    identity. *)
+val canon_over :
+  remap_state:((Kernel.Term.t * Kernel.Term.t) list -> 's -> 's) ->
+  key:('s -> string) ->
+  Kernel.Term.t list ->
+  's ->
+  's
+
 type stats = {
   states_explored : int;
   transitions_fired : int;

@@ -416,69 +416,26 @@ let analysis variant =
 let independence variant = (analysis variant).an_indep
 let symmetries variant = (analysis variant).an_sym
 
-(* Swap constants through a state: simultaneous image under the
-   permutation [map], rebuilding every stored term. *)
-let remap_term map t =
-  let rec go t =
-    match Term.view t with
-    | Term.Var _ -> t
-    | Term.App (_, []) -> (
-      match List.find_opt (fun (c, _) -> Term.equal c t) map with
-      | Some (_, d) -> d
-      | None -> t)
-    | Term.App (o, args) -> Term.app_unchecked o (List.map go args)
-  in
-  go t
-
 let remap_run map r =
   {
     r with
-    na = remap_term map r.na;
-    nb = Option.map (remap_term map) r.nb;
+    na = Mc.remap_term map r.na;
+    nb = Option.map (Mc.remap_term map) r.nb;
   }
 
+(* Swap constants through a state: simultaneous image under the
+   permutation [map], rebuilding every stored term. *)
 let remap_state map st =
-  if List.for_all (fun (c, d) -> Term.equal c d) map then st
-  else
-    {
-      st with
-      msgs = TS.map (remap_term map) st.msgs;
-      used = TS.map (remap_term map) st.used;
-      istarts = sorted_runs (List.map (remap_run map) st.istarts);
-      rruns = sorted_runs (List.map (remap_run map) st.rruns);
-      rdones = sorted_runs (List.map (remap_run map) st.rdones);
-      kn = None;
-    }
-
-let rec permutations = function
-  | [] -> [ [] ]
-  | l ->
-    List.concat_map
-      (fun x ->
-        List.map
-          (fun p -> x :: p)
-          (permutations (List.filter (fun y -> not (Term.equal y x)) l)))
-      l
-
-(* Orbit minimization over the interchangeable-nonce pool: the canonical
-   representative is the permutation image with the smallest key, which
-   makes canonization idempotent by construction. *)
-let canon_over pool =
-  if List.length pool < 2 then fun st -> st
-  else
-    let maps = List.map (List.combine pool) (permutations pool) in
-    fun st ->
-      let best = ref st and best_key = ref (key st) in
-      List.iter
-        (fun map ->
-          let st' = remap_state map st in
-          let k' = key st' in
-          if String.compare k' !best_key < 0 then begin
-            best := st';
-            best_key := k'
-          end)
-        maps;
-      !best
+  let f = Mc.remap_term map in
+  {
+    st with
+    msgs = TS.map f st.msgs;
+    used = TS.map f st.used;
+    istarts = sorted_runs (List.map (remap_run map) st.istarts);
+    rruns = sorted_runs (List.map (remap_run map) st.rruns);
+    rdones = sorted_runs (List.map (remap_run map) st.rdones);
+    kn = None;
+  }
 
 let reduction ?(por = true) ?(symmetry = true) scen =
   let a = analysis scen.variant in
@@ -490,7 +447,7 @@ let reduction ?(por = true) ?(symmetry = true) scen =
     if symmetry then
       (* Only the scenario's honest-nonce pool is interchangeable: the
          intruder's own nonces are part of its (asymmetric) identity. *)
-      canon_over
+      Mc.canon_over ~remap_state ~key
         (Analysis.Symmetry.orbit_elems a.an_sym ~candidates:scen.nonces)
     else fun st -> st
   in

@@ -50,19 +50,16 @@ let default_config ~socket =
 (* ------------------------------------------------------------------ *)
 (* Resident state: everything the daemon keeps hot across requests *)
 
+(* Every resident cache is a registry: a repeat is served from the
+   resolved entry, and a request that arrives while the entry is still
+   computing shares its future. *)
 type resident = {
   pool : Sched.Pool.t;
   envs : (P.style * Core.Induction.env) list;
-  registry : Core.Induction.result Registry.t;
-  lint_cache : (P.style, Analysis.Lint.report) Hashtbl.t;
-  secrecy_cache : (P.style, Analysis.Secrecy.result) Hashtbl.t;
-  (* the expensive, campaign-independent certificate parts (LPO
-     precedence, critical-pair joins) computed once per style *)
-  static_certs :
-    ( P.style,
-      Kernel.Signature.op list option
-      * (Kernel.Completion.overlap * Analysis.Confluence.jcert) list )
-    Hashtbl.t;
+  obligations : Core.Induction.result Registry.t;  (* "verify:STYLE:NAME" *)
+  lints : Analysis.Lint.report Registry.t;  (* by style *)
+  secrecies : Analysis.Secrecy.result Registry.t;  (* by style *)
+  static_certs : Analysis.Certgen.static Registry.t;  (* by style *)
   eval_env : Cafeobj.Eval.env;
   started_ns : int;
   slow_ms : float;
@@ -70,6 +67,9 @@ type resident = {
   mutable served : int;
   mutable pending : int;  (* queued jobs, refreshed once per loop tick *)
 }
+
+let stop_flag = Atomic.make false
+let quit_flag = Atomic.make false
 
 (* Post-mortem snapshot of the flight rings; called on the paths where a
    core dump would otherwise be the only evidence. *)
@@ -108,38 +108,20 @@ let verdict_of_result ~negative (r : Core.Induction.result) =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Per-connection state *)
+(* Jobs *)
 
 (* Requests on one connection are answered strictly in request order;
-   obligations are dispatched to the pool the moment the request frame
-   arrives, so later requests compute while earlier ones stream. *)
-type active =
-  | Aimmediate of P.request
-  | Aerror of { responses : P.response list; exit_code : int }
-  | Averify of {
-      mutable todo : (bool * Core.Induction.result Sched.Task.t) list;
-      mutable results : Core.Induction.result list;  (* positives, reversed *)
-      mutable timed_out : bool;
-      mutable unexpected : bool;
-      mutable errored : bool;
-    }
-  | Alint of {
-      style : P.style;
-      task : Analysis.Lint.report Sched.Task.t;
-      cached : bool;
-    }
-  | Asecrecy of {
-      style : P.style;
-      task : Analysis.Secrecy.result Sched.Task.t;
-      cached : bool;
-    }
-  | Acert of {
-      task : ((bool * Core.Induction.result) list * string) Sched.Task.t;
-          (** certifying campaign: (negative?, result) list + certificate *)
-    }
-  | Acheck of { task : Analysis.Certgen.check_result Sched.Task.t }
-
-type job = { active : active; kind : string; req_id : string; t0_ns : int }
+   pool work is dispatched the moment the request frame arrives, so later
+   requests compute while earlier ones stream.  [poll emit] sends the
+   responses that are ready and returns [Some exit_code] once the request
+   is answered in full; an exception it raises answers the request through
+   [failure]. *)
+type job = {
+  poll : (P.response -> unit) -> int option;
+  kind : string;
+  req_id : string;
+  t0_ns : int;
+}
 
 (* fallback ids for clients that did not tag their request *)
 let srv_id = Atomic.make 0
@@ -187,6 +169,65 @@ let finish_job resident conn job ~exit_code =
   else Log.info "request_done" fields;
   conn.last_active <- Unix.gettimeofday ()
 
+(* The answer to a request (or one campaign obligation) that raised: an
+   exhausted step budget or deadline is a structured timeout naming what
+   ran out (the obligation of a campaign, else the request kind), anything
+   else a server error. *)
+let failure resident ~req_id ~kind e =
+  match e with
+  | Kernel.Rewrite.Limit_exceeded { limit; steps } ->
+    let name = if kind = "verify" then "obligation" else kind in
+    Metrics.incr c_timeouts;
+    Log.warn "timeout"
+      [ "id", Log.S req_id; "kind", Log.S kind; "steps", Log.I steps ];
+    flight_dump resident ("limit-exceeded: " ^ name);
+    let limit =
+      match limit with
+      | Kernel.Rewrite.Steps n -> `Steps n
+      | Kernel.Rewrite.Deadline d -> `Deadline d
+    in
+    P.Rtimeout { limit; steps; name }, Exit.timeout
+  | e -> P.Rerror { code = "server"; msg = Printexc.to_string e }, Exit.failure
+
+(* Pump the head job of a connection as far as it goes. *)
+let rec progress resident conn =
+  match Queue.peek_opt conn.jobs_q with
+  | None -> ()
+  | Some job -> (
+    let answered =
+      try job.poll (send conn)
+      with e ->
+        let resp, exit_code = failure resident ~req_id:job.req_id ~kind:job.kind e in
+        send conn resp;
+        Some exit_code
+    in
+    match answered with
+    | None -> ()
+    | Some exit_code ->
+      finish_job resident conn job ~exit_code;
+      progress resident conn)
+
+(* A job that answers on its first poll. *)
+let reply code responses emit =
+  List.iter emit responses;
+  Some code
+
+(* A single-task job: [render] answers once the task resolves. *)
+let await task render emit = Option.map (render emit) (Sched.Task.poll task)
+
+(* [find_or_submit] on a per-style registry.  The wire's [cached] flag
+   (and the [hits] counter) mean the entry had already resolved: a request
+   that shares an analysis still in flight waits for it like the first. *)
+let per_style resident registry ~hits ~req_id style f =
+  let task, how =
+    Registry.find_or_submit ~requester:req_id registry
+      ~key:(P.style_name style)
+      (fun () -> Sched.Pool.submit resident.pool f)
+  in
+  let cached = how = `Cached in
+  if cached then Metrics.incr hits;
+  task, cached
+
 (* ------------------------------------------------------------------ *)
 (* Immediate requests *)
 
@@ -208,9 +249,9 @@ let refresh_gauges resident =
   Metrics.set_gauge "server.intern.live_terms"
     (float_of_int (Kernel.Term.intern_table_len ()));
   Metrics.set_gauge "server.registry.entries"
-    (float_of_int (Registry.size resident.registry));
+    (float_of_int (Registry.size resident.obligations));
   Metrics.set_gauge "server.registry.in_flight"
-    (float_of_int (Registry.in_flight_count resident.registry));
+    (float_of_int (Registry.in_flight_count resident.obligations));
   Metrics.set_gauge "server.queue_depth" (float_of_int resident.pending);
   Metrics.set_gauge "server.uptime_s" (uptime_s resident)
 
@@ -236,6 +277,18 @@ let metrics_response resident =
           snap.Metrics.m_histograms;
     }
 
+let status_response resident =
+  P.Rstatus
+    {
+      uptime_s = uptime_s resident;
+      jobs = Sched.Pool.jobs resident.pool;
+      requests = resident.served;
+      in_flight = Registry.in_flight_count resident.obligations;
+      dedup_hits = Metrics.value (Metrics.counter "server.dedup.hits");
+      dedup_misses = Metrics.value (Metrics.counter "server.dedup.misses");
+      styles = List.map fst resident.envs;
+    }
+
 let handle_eval resident ~step_limit ~deadline_s src emit =
   (* [red] runs synchronously on the event loop: evals are bounded by the
      per-request step limit / deadline, which is also what makes this the
@@ -244,18 +297,14 @@ let handle_eval resident ~step_limit ~deadline_s src emit =
      is in; a request that sets none runs under the defaults. *)
   Cafeobj.Eval.set_limits resident.eval_env ~steps:step_limit
     ~deadline:deadline_s;
+  let error msg =
+    emit (P.Rerror { code = "eval"; msg });
+    Exit.failure
+  in
   match Cafeobj.Parser.parse_string src with
-  | exception Cafeobj.Parser.Error m ->
-    emit (P.Rerror { code = "eval"; msg = m });
-    Exit.failure
+  | exception Cafeobj.Parser.Error m -> error m
   | exception Cafeobj.Lexer.Error { line; col; message } ->
-    emit
-      (P.Rerror
-         {
-           code = "eval";
-           msg = Printf.sprintf "line %d, col %d: %s" line col message;
-         });
-    Exit.failure
+    error (Printf.sprintf "line %d, col %d: %s" line col message)
   | program -> (
     try
       List.iter
@@ -264,460 +313,267 @@ let handle_eval resident ~step_limit ~deadline_s src emit =
           emit (P.Reval { text = Format.asprintf "%a" Cafeobj.Eval.pp_output out }))
         program;
       Exit.ok
-    with
-    | Kernel.Rewrite.Limit_exceeded { limit; steps } ->
-      Metrics.incr c_timeouts;
-      Log.warn "timeout" [ "kind", Log.S "eval"; "steps", Log.I steps ];
-      flight_dump resident "limit-exceeded: eval";
-      let limit =
-        match limit with
-        | Kernel.Rewrite.Steps n -> `Steps n
-        | Kernel.Rewrite.Deadline d -> `Deadline d
+    with Cafeobj.Eval.Error m -> error m)
+
+(* ------------------------------------------------------------------ *)
+(* Campaigns *)
+
+let summary_response positives =
+  let summary = Core.Report.summarize positives in
+  P.Rsummary
+    {
+      invariants =
+        summary.Core.Report.invariants_proved, summary.Core.Report.invariants_total;
+      cases = summary.Core.Report.cases_proved, summary.Core.Report.cases_total;
+      splits = summary.Core.Report.total_splits;
+      steps = summary.Core.Report.total_rewrite_steps;
+      text = Format.asprintf "%a" Core.Report.pp_summary summary;
+    }
+
+(* The summary counts the positive obligations; a negative one that
+   proves, or an obligation that raised, fails the campaign. *)
+let campaign_exit ~timed_out ~failed positives =
+  if timed_out then Exit.timeout
+  else if failed || Core.Report.failures positives <> [] then Exit.failure
+  else Exit.ok
+
+(* Stream one verdict per obligation in campaign order, each as soon as
+   it and every earlier one have resolved, then the summary. *)
+let campaign_poll resident ~req_id todo =
+  let todo = ref todo and positives = ref [] in
+  let timed_out = ref false and failed = ref false in
+  let rec poll emit =
+    match !todo with
+    | [] ->
+      let positives = List.rev !positives in
+      emit (summary_response positives);
+      Some (campaign_exit ~timed_out:!timed_out ~failed:!failed positives)
+    | (neg, task) :: rest -> (
+      match Sched.Task.poll task with
+      | None -> None
+      | Some r ->
+        todo := rest;
+        emit (P.Rverdict (verdict_of_result ~negative:neg r));
+        if not neg then positives := r :: !positives
+        else if r.Core.Induction.proved then failed := true;
+        poll emit
+      | exception e ->
+        todo := rest;
+        let resp, exit_code = failure resident ~req_id ~kind:"verify" e in
+        emit resp;
+        if exit_code = Exit.timeout then timed_out := true else failed := true;
+        poll emit)
+  in
+  poll
+
+(* A certifying campaign bypasses the obligation registry (cached results
+   carry no trace) and runs as one pool task: every red is traced, then
+   the trace plus the per-style static evidence becomes the certificate.
+   The static evidence is computed once per style and shared through its
+   registry entry.  It runs without the pool: a task other tasks await
+   must not help-run queued work, or a second certifying request could
+   end up awaiting it from a frame above it on the same stack. *)
+let certify_task resident ~req_id style env obligations =
+  Sched.Pool.submit resident.pool (fun () ->
+      Telemetry.Probe.with_span ~always:true ~cat:"server" "verify-certify"
+      @@ fun () ->
+      let tr = Kernel.Rewrite.tracer () in
+      Kernel.Rewrite.set_tracer (Some tr);
+      let results =
+        Fun.protect
+          ~finally:(fun () -> Kernel.Rewrite.set_tracer None)
+          (fun () ->
+            List.map
+              (fun (neg, proof) ->
+                neg, Proofs.Tls_invariants.run ~pool:resident.pool env proof)
+              obligations)
       in
-      emit (P.Rtimeout { limit; steps; name = "eval" });
-      Exit.timeout
-    | Cafeobj.Eval.Error m ->
-      emit (P.Rerror { code = "eval"; msg = m });
-      Exit.failure)
+      let spec = Tls.Model.spec (model_style style) in
+      let static, _ =
+        Registry.find_or_submit ~requester:req_id resident.static_certs
+          ~key:(P.style_name style)
+          (fun () ->
+            Sched.Pool.submit resident.pool (fun () ->
+                Analysis.Certgen.static_evidence spec))
+      in
+      let static = Sched.Pool.await resident.pool static in
+      let cert =
+        Analysis.Certgen.campaign spec (Kernel.Rewrite.obligations tr) static
+      in
+      results, Certify.Cert.to_string cert)
+
+let render_certified emit (results, cert) =
+  List.iter
+    (fun (neg, r) -> emit (P.Rverdict (verdict_of_result ~negative:neg r)))
+    results;
+  let positives =
+    List.filter_map (fun (neg, r) -> if neg then None else Some r) results
+  in
+  emit (summary_response positives);
+  emit (P.Rcert { cert });
+  campaign_exit ~timed_out:false
+    ~failed:(List.exists (fun (neg, r) -> neg && r.Core.Induction.proved) results)
+    positives
+
+let resolve_proofs mstyle ~only ~extensions =
+  match only with
+  | [] ->
+    Ok
+      (Proofs.Tls_invariants.all mstyle
+      @ if extensions then Proofs.Tls_invariants.extensions mstyle else [])
+  | names ->
+    List.fold_right
+      (fun name acc ->
+        match acc with
+        | Error _ as e -> e
+        | Ok ps -> (
+          match Proofs.Tls_invariants.find mstyle name with
+          | p -> Ok (p :: ps)
+          | exception Not_found -> Error name))
+      names (Ok [])
+
+let verify_poll resident ~req_id ~style ~only ~negative ~extensions ~certify =
+  let mstyle = model_style style in
+  match resolve_proofs mstyle ~only ~extensions with
+  | Error name ->
+    reply Exit.usage
+      [
+        P.Rerror
+          { code = "bad-request"; msg = Printf.sprintf "unknown proof %S" name };
+      ]
+  | Ok proofs ->
+    let env = List.assoc style resident.envs in
+    let obligations =
+      List.map (fun p -> false, p) proofs
+      @
+      if negative then
+        [
+          true, Proofs.Tls_invariants.prop2' mstyle;
+          true, Proofs.Tls_invariants.prop3' mstyle;
+        ]
+      else []
+    in
+    if certify then
+      await (certify_task resident ~req_id style env obligations) render_certified
+    else
+      campaign_poll resident ~req_id
+        (List.map
+           (fun (neg, proof) ->
+             let name = Proofs.Tls_invariants.name_of proof in
+             let key = Printf.sprintf "verify:%s:%s" (P.style_name style) name in
+             let task, _how =
+               Registry.find_or_submit ~requester:req_id resident.obligations ~key
+                 (fun () ->
+                   Sched.Pool.submit resident.pool (fun () ->
+                       Telemetry.Probe.with_span ~always:true ~cat:"server"
+                         ("obligation:" ^ name)
+                       @@ fun () ->
+                       Proofs.Tls_invariants.run ~pool:resident.pool env proof))
+             in
+             neg, task)
+           obligations)
 
 (* ------------------------------------------------------------------ *)
 (* Request intake: build the job (dispatching pool work now), enqueue *)
 
 let start_request resident conn ~req_id req =
   let t0_ns = Telemetry.Probe.now_ns () in
-  let enqueue kind active =
-    Queue.push { active; kind; req_id; t0_ns } conn.jobs_q
-  in
+  let enqueue kind poll = Queue.push { poll; kind; req_id; t0_ns } conn.jobs_q in
   match req with
-  | P.Ping -> enqueue "ping" (Aimmediate req)
-  | P.Status -> enqueue "status" (Aimmediate req)
-  | P.Metrics -> enqueue "metrics" (Aimmediate req)
-  | P.Shutdown -> enqueue "shutdown" (Aimmediate req)
-  | P.Eval _ -> enqueue "eval" (Aimmediate req)
+  | P.Ping ->
+    enqueue "ping" (fun emit ->
+        let pong = P.Pong { pid = Unix.getpid (); uptime_s = uptime_s resident } in
+        reply Exit.ok [ pong ] emit)
+  | P.Status ->
+    enqueue "status" (fun emit -> reply Exit.ok [ status_response resident ] emit)
+  | P.Metrics ->
+    enqueue "metrics" (fun emit -> reply Exit.ok [ metrics_response resident ] emit)
+  | P.Shutdown ->
+    enqueue "shutdown" (fun _ ->
+        Atomic.set stop_flag true;
+        Some Exit.ok)
+  | P.Eval { src; step_limit; deadline_s } ->
+    enqueue "eval" (fun emit ->
+        Some (handle_eval resident ~step_limit ~deadline_s src emit))
   | P.Lint { style } ->
-    let cached = Hashtbl.find_opt resident.lint_cache style in
-    let task =
-      match cached with
-      | Some report ->
-        Metrics.incr c_lint_cache_hits;
-        Sched.Task.of_result report
-      | None ->
-        Sched.Pool.submit resident.pool (fun () ->
-            Analysis.Lint.run ~pool:resident.pool
-              [
-                Analysis.Lint.Generated
-                  {
-                    label = "generated:tls-" ^ P.style_name style;
-                    spec = Tls.Model.spec (model_style style);
-                  };
-              ])
+    let task, cached =
+      per_style resident resident.lints ~hits:c_lint_cache_hits ~req_id style
+        (fun () ->
+          Analysis.Lint.run ~pool:resident.pool
+            [
+              Analysis.Lint.Generated
+                {
+                  label = "generated:tls-" ^ P.style_name style;
+                  spec = Tls.Model.spec (model_style style);
+                };
+            ])
     in
-    enqueue "lint" (Alint { style; task; cached = cached <> None })
+    enqueue "lint"
+      (await task (fun emit (report : Analysis.Lint.report) ->
+           emit
+             (P.Rlint
+                {
+                  errors = report.errors;
+                  warnings = report.warnings;
+                  infos = report.infos;
+                  cached;
+                  text = Format.asprintf "%a" Analysis.Lint.pp_report report;
+                });
+           if report.errors > 0 then Exit.failure else Exit.ok))
   | P.Secrecy { style } ->
-    let cached = Hashtbl.find_opt resident.secrecy_cache style in
-    let task =
-      match cached with
-      | Some result ->
-        Metrics.incr c_secrecy_cache_hits;
-        Sched.Task.of_result result
-      | None ->
-        Sched.Pool.submit resident.pool (fun () ->
-            Analysis.Secrecy.analyze (Tls.Model.spec (model_style style)))
+    let task, cached =
+      per_style resident resident.secrecies ~hits:c_secrecy_cache_hits ~req_id
+        style (fun () ->
+          Analysis.Secrecy.analyze (Tls.Model.spec (model_style style)))
     in
-    enqueue "secrecy" (Asecrecy { style; task; cached = cached <> None })
+    enqueue "secrecy"
+      (await task (fun emit (result : Analysis.Secrecy.result) ->
+           emit
+             (P.Rsecrecy
+                {
+                  verdict = Analysis.Secrecy.verdict_name result;
+                  clauses = result.r_clauses;
+                  facts = result.r_facts;
+                  rounds = result.r_rounds;
+                  resolutions = result.r_resolutions;
+                  cached;
+                });
+           match result.r_verdict with
+           | Analysis.Secrecy.Secure | Analysis.Secrecy.Not_applicable _ -> Exit.ok
+           | Analysis.Secrecy.Leak _ | Analysis.Secrecy.Inconclusive ->
+             Exit.failure))
   | P.Check { cert } -> (
     match Certify.Cert.of_string cert with
     | Error msg ->
       enqueue "check"
-        (Aerror
-           {
-             responses =
-               [
-                 P.Rerror
-                   { code = "bad-request"; msg = "malformed certificate: " ^ msg };
-               ];
-             exit_code = Exit.usage;
-           })
+        (reply Exit.usage
+           [
+             P.Rerror
+               { code = "bad-request"; msg = "malformed certificate: " ^ msg };
+           ])
     | Ok cert ->
       let task =
         Sched.Pool.submit resident.pool (fun () ->
             Analysis.Certgen.check ~pool:resident.pool cert)
       in
-      enqueue "check" (Acheck { task }))
-  | P.Verify { style; only; negative; extensions; certify } -> (
-    let mstyle = model_style style in
-    let resolve () =
-      match only with
-      | [] ->
-        Ok
-          (Proofs.Tls_invariants.all mstyle
-          @
-          if extensions then Proofs.Tls_invariants.extensions mstyle else [])
-      | names ->
-        List.fold_right
-          (fun name acc ->
-            match acc with
-            | Error _ as e -> e
-            | Ok ps -> (
-              match Proofs.Tls_invariants.find mstyle name with
-              | p -> Ok (p :: ps)
-              | exception Not_found -> Error name))
-          names (Ok [])
-    in
-    match resolve () with
-    | Error name ->
-      enqueue "verify"
-        (Aerror
-           {
-             responses =
-               [
-                 P.Rerror
-                   {
-                     code = "bad-request";
-                     msg = Printf.sprintf "unknown proof %S" name;
-                   };
-               ];
-             exit_code = Exit.usage;
-           })
-    | Ok proofs ->
-      let env = List.assoc style resident.envs in
-      let obligations =
-        List.map (fun p -> false, p) proofs
-        @
-        if negative then
-          [
-            true, Proofs.Tls_invariants.prop2' mstyle;
-            true, Proofs.Tls_invariants.prop3' mstyle;
-          ]
-        else []
-      in
-      if certify then begin
-        (* A certifying campaign bypasses the registry (cached results
-           carry no trace) and runs as one pool task: every red is traced,
-           then the trace plus the per-style static evidence (LPO, joins —
-           computed once and kept resident) becomes the certificate. *)
-        let task =
-          Sched.Pool.submit resident.pool (fun () ->
-              Telemetry.Probe.with_span ~always:true ~cat:"server"
-                "verify-certify"
-              @@ fun () ->
-              let tr = Kernel.Rewrite.tracer () in
-              Kernel.Rewrite.set_tracer (Some tr);
-              let results =
-                Fun.protect
-                  ~finally:(fun () -> Kernel.Rewrite.set_tracer None)
-                  (fun () ->
-                    List.map
-                      (fun (neg, proof) ->
-                        neg, Proofs.Tls_invariants.run ~pool:resident.pool env proof)
-                      obligations)
-              in
-              let spec = Tls.Model.spec mstyle in
-              let precedence, joins =
-                match Hashtbl.find_opt resident.static_certs style with
-                | Some sc -> sc
-                | None ->
-                  let term = Analysis.Termination.check spec in
-                  let prec =
-                    if term.Analysis.Termination.certified then
-                      Some
-                        term.Analysis.Termination.search
-                          .Kernel.Order.precedence
-                    else None
-                  in
-                  let conf =
-                    Analysis.Confluence.check ~pool:resident.pool
-                      ~certify:true spec
-                  in
-                  let sc = prec, conf.Analysis.Confluence.certs in
-                  Hashtbl.replace resident.static_certs style sc;
-                  sc
-              in
-              let b = Analysis.Certgen.create () in
-              Analysis.Certgen.add_obligations b (Kernel.Rewrite.obligations tr);
-              (match precedence with
-              | Some p ->
-                Analysis.Certgen.add_lpo b ~precedence:p
-                  (Cafeobj.Spec.all_rules spec)
-              | None -> ());
-              Analysis.Certgen.add_joins b
-                ~rules:(Cafeobj.Spec.all_rules spec)
-                joins;
-              results, Certify.Cert.to_string (Analysis.Certgen.cert b))
-        in
-        enqueue "verify" (Acert { task })
-      end
-      else
-      let todo =
-        List.map
-          (fun (neg, proof) ->
-            let name = Proofs.Tls_invariants.name_of proof in
-            let key =
-              Printf.sprintf "verify:%s:%s" (P.style_name style) name
-            in
-            let task, _how =
-              Registry.find_or_submit ~requester:req_id resident.registry ~key
-                (fun () ->
-                  Sched.Pool.submit resident.pool (fun () ->
-                      Telemetry.Probe.with_span ~always:true ~cat:"server"
-                        ("obligation:" ^ name)
-                      @@ fun () ->
-                      Proofs.Tls_invariants.run ~pool:resident.pool env proof))
-            in
-            neg, task)
-          obligations
-      in
-      enqueue "verify"
-        (Averify
-           {
-             todo;
-             results = [];
-             timed_out = false;
-             unexpected = false;
-             errored = false;
-           }))
-
-(* ------------------------------------------------------------------ *)
-(* Job progress: pump the head job of a connection as far as it goes *)
-
-let progress resident conn ~request_shutdown =
-  let rec pump () =
-    match Queue.peek_opt conn.jobs_q with
-    | None -> ()
-    | Some job -> (
-      match job.active with
-      | Aimmediate req ->
-        let exit_code =
-          match req with
-          | P.Ping ->
-            send conn
-              (P.Pong { pid = Unix.getpid (); uptime_s = uptime_s resident });
-            Exit.ok
-          | P.Status ->
-            send conn
-              (P.Rstatus
-                 {
-                   uptime_s = uptime_s resident;
-                   jobs = Sched.Pool.jobs resident.pool;
-                   requests = resident.served;
-                   in_flight = Registry.in_flight_count resident.registry;
-                   dedup_hits =
-                     Metrics.value (Metrics.counter "server.dedup.hits");
-                   dedup_misses =
-                     Metrics.value (Metrics.counter "server.dedup.misses");
-                   styles = List.map fst resident.envs;
-                 });
-            Exit.ok
-          | P.Metrics ->
-            send conn (metrics_response resident);
-            Exit.ok
-          | P.Shutdown ->
-            request_shutdown ();
-            Exit.ok
-          | P.Eval { src; step_limit; deadline_s } ->
-            handle_eval resident ~step_limit ~deadline_s src (send conn)
-          | _ -> Exit.ok
-        in
-        finish_job resident conn job ~exit_code;
-        pump ()
-      | Aerror { responses; exit_code } ->
-        List.iter (send conn) responses;
-        finish_job resident conn job ~exit_code;
-        pump ()
-      | Alint a -> (
-        match Sched.Task.poll a.task with
-        | None -> ()
-        | Some report ->
-          if not (Hashtbl.mem resident.lint_cache a.style) then
-            Hashtbl.replace resident.lint_cache a.style report;
-          send conn
-            (P.Rlint
-               {
-                 errors = report.Analysis.Lint.errors;
-                 warnings = report.Analysis.Lint.warnings;
-                 infos = report.Analysis.Lint.infos;
-                 cached = a.cached;
-                 text = Format.asprintf "%a" Analysis.Lint.pp_report report;
-               });
-          finish_job resident conn job
-            ~exit_code:
-              (if report.Analysis.Lint.errors > 0 then Exit.failure else Exit.ok);
-          pump ()
-        | exception e ->
-          send conn (P.Rerror { code = "server"; msg = Printexc.to_string e });
-          finish_job resident conn job ~exit_code:Exit.failure;
-          pump ())
-      | Asecrecy a -> (
-        match Sched.Task.poll a.task with
-        | None -> ()
-        | Some result ->
-          if not (Hashtbl.mem resident.secrecy_cache a.style) then
-            Hashtbl.replace resident.secrecy_cache a.style result;
-          let verdict = Analysis.Secrecy.verdict_name result in
-          send conn
-            (P.Rsecrecy
-               {
-                 verdict;
-                 clauses = result.Analysis.Secrecy.r_clauses;
-                 facts = result.Analysis.Secrecy.r_facts;
-                 rounds = result.Analysis.Secrecy.r_rounds;
-                 resolutions = result.Analysis.Secrecy.r_resolutions;
-                 cached = a.cached;
-               });
-          finish_job resident conn job
-            ~exit_code:
-              (match result.Analysis.Secrecy.r_verdict with
-              | Analysis.Secrecy.Secure | Analysis.Secrecy.Not_applicable _ ->
-                Exit.ok
-              | Analysis.Secrecy.Leak _ | Analysis.Secrecy.Inconclusive ->
-                Exit.failure);
-          pump ()
-        | exception e ->
-          send conn (P.Rerror { code = "server"; msg = Printexc.to_string e });
-          finish_job resident conn job ~exit_code:Exit.failure;
-          pump ())
-      | Acert a -> (
-        match Sched.Task.poll a.task with
-        | None -> ()
-        | Some (results, cert) ->
-          let unexpected = ref false in
-          List.iter
-            (fun (neg, r) ->
-              send conn (P.Rverdict (verdict_of_result ~negative:neg r));
-              if neg && r.Core.Induction.proved then unexpected := true)
-            results;
-          let positives =
-            List.filter_map (fun (neg, r) -> if neg then None else Some r) results
-          in
-          let summary = Core.Report.summarize positives in
-          send conn
-            (P.Rsummary
-               {
-                 invariants =
-                   ( summary.Core.Report.invariants_proved,
-                     summary.Core.Report.invariants_total );
-                 cases =
-                   ( summary.Core.Report.cases_proved,
-                     summary.Core.Report.cases_total );
-                 splits = summary.Core.Report.total_splits;
-                 steps = summary.Core.Report.total_rewrite_steps;
-                 text = Format.asprintf "%a" Core.Report.pp_summary summary;
-               });
-          send conn (P.Rcert { cert });
-          finish_job resident conn job
-            ~exit_code:
-              (if !unexpected || Core.Report.failures positives <> [] then
-                 Exit.failure
-               else Exit.ok);
-          pump ()
-        | exception Kernel.Rewrite.Limit_exceeded { limit; steps } ->
-          Metrics.incr c_timeouts;
-          Log.warn "timeout"
-            [ "id", Log.S job.req_id; "kind", Log.S job.kind; "steps", Log.I steps ];
-          flight_dump resident "limit-exceeded: verify-certify";
-          Kernel.Rewrite.set_tracer None;
-          let limit =
-            match limit with
-            | Kernel.Rewrite.Steps n -> `Steps n
-            | Kernel.Rewrite.Deadline d -> `Deadline d
-          in
-          send conn (P.Rtimeout { limit; steps; name = "obligation" });
-          finish_job resident conn job ~exit_code:Exit.timeout;
-          pump ()
-        | exception e ->
-          Kernel.Rewrite.set_tracer None;
-          send conn (P.Rerror { code = "server"; msg = Printexc.to_string e });
-          finish_job resident conn job ~exit_code:Exit.failure;
-          pump ())
-      | Acheck a -> (
-        match Sched.Task.poll a.task with
-        | None -> ()
-        | Some res ->
-          send conn
-            (P.Rcheck
-               {
-                 ok = res.Analysis.Certgen.errors = [];
-                 obligations = res.Analysis.Certgen.obligations;
-                 steps = res.Analysis.Certgen.steps_replayed;
-                 errors =
-                   List.map
-                     (fun (e : Certify.Check.error) ->
-                       e.Certify.Check.e_path, e.Certify.Check.e_msg)
-                     res.Analysis.Certgen.errors;
-               });
-          finish_job resident conn job
-            ~exit_code:
-              (if res.Analysis.Certgen.errors = [] then Exit.ok else Exit.failure);
-          pump ()
-        | exception e ->
-          send conn (P.Rerror { code = "server"; msg = Printexc.to_string e });
-          finish_job resident conn job ~exit_code:Exit.failure;
-          pump ())
-      | Averify a -> (
-        match a.todo with
-        | [] ->
-          let results = List.rev a.results in
-          let summary = Core.Report.summarize results in
-          send conn
-            (P.Rsummary
-               {
-                 invariants =
-                   ( summary.Core.Report.invariants_proved,
-                     summary.Core.Report.invariants_total );
-                 cases =
-                   ( summary.Core.Report.cases_proved,
-                     summary.Core.Report.cases_total );
-                 splits = summary.Core.Report.total_splits;
-                 steps = summary.Core.Report.total_rewrite_steps;
-                 text = Format.asprintf "%a" Core.Report.pp_summary summary;
-               });
-          let exit_code =
-            if a.timed_out then Exit.timeout
-            else if
-              a.errored || a.unexpected
-              || Core.Report.failures results <> []
-            then Exit.failure
-            else Exit.ok
-          in
-          finish_job resident conn job ~exit_code;
-          pump ()
-        | (neg, task) :: rest -> (
-          match Sched.Task.poll task with
-          | None -> ()
-          | Some r ->
-            send conn (P.Rverdict (verdict_of_result ~negative:neg r));
-            if neg then begin
-              if r.Core.Induction.proved then a.unexpected <- true
-            end
-            else a.results <- r :: a.results;
-            a.todo <- rest;
-            pump ()
-          | exception Kernel.Rewrite.Limit_exceeded { limit; steps } ->
-            Metrics.incr c_timeouts;
-            Log.warn "timeout"
-              [
-                "id", Log.S job.req_id;
-                "kind", Log.S job.kind;
-                "steps", Log.I steps;
-              ];
-            flight_dump resident "limit-exceeded: obligation";
-            let limit =
-              match limit with
-              | Kernel.Rewrite.Steps n -> `Steps n
-              | Kernel.Rewrite.Deadline d -> `Deadline d
-            in
-            send conn (P.Rtimeout { limit; steps; name = "obligation" });
-            a.timed_out <- true;
-            a.todo <- rest;
-            pump ()
-          | exception e ->
-            send conn
-              (P.Rerror { code = "server"; msg = Printexc.to_string e });
-            a.errored <- true;
-            a.todo <- rest;
-            pump ())))
-  in
-  pump ()
+      enqueue "check"
+        (await task (fun emit (res : Analysis.Certgen.check_result) ->
+             emit
+               (P.Rcheck
+                  {
+                    ok = res.errors = [];
+                    obligations = res.obligations;
+                    steps = res.steps_replayed;
+                    errors =
+                      List.map
+                        (fun (e : Certify.Check.error) ->
+                          e.Certify.Check.e_path, e.Certify.Check.e_msg)
+                        res.errors;
+                  });
+             if res.errors = [] then Exit.ok else Exit.failure)))
+  | P.Verify { style; only; negative; extensions; certify } ->
+    enqueue "verify"
+      (verify_poll resident ~req_id ~style ~only ~negative ~extensions ~certify)
 
 (* ------------------------------------------------------------------ *)
 (* Socket plumbing *)
@@ -808,8 +664,8 @@ let statusz_json resident ~draining =
     (Printf.sprintf
        ",\"registry\":{\"entries\":%d,\"in_flight\":%d,\"dedup_hits\":%d,\
         \"dedup_misses\":%d}"
-       (Registry.size resident.registry)
-       (Registry.in_flight_count resident.registry)
+       (Registry.size resident.obligations)
+       (Registry.in_flight_count resident.obligations)
        (Metrics.value (Metrics.counter "server.dedup.hits"))
        (Metrics.value (Metrics.counter "server.dedup.misses")));
   Buffer.add_string b ",\"styles\":[";
@@ -846,9 +702,6 @@ let http_route resident ~draining (r : Obs.Http.request) =
 
 (* ------------------------------------------------------------------ *)
 (* The server proper *)
-
-let stop_flag = Atomic.make false
-let quit_flag = Atomic.make false
 
 let claim_socket path =
   if Sys.file_exists path then begin
@@ -930,10 +783,10 @@ let run config =
           P.Original, Tls.Model.env Tls.Model.Original;
           P.Variant, Tls.Model.env Tls.Model.Cf2First;
         ];
-      registry = Registry.create ();
-      lint_cache = Hashtbl.create 4;
-      secrecy_cache = Hashtbl.create 4;
-      static_certs = Hashtbl.create 4;
+      obligations = Registry.create ();
+      lints = Registry.create ();
+      secrecies = Registry.create ();
+      static_certs = Registry.create ();
       eval_env = Cafeobj.Eval.create ();
       started_ns = Telemetry.Probe.now_ns ();
       slow_ms = config.slow_ms;
@@ -952,7 +805,6 @@ let run config =
   let hconns : (Unix.file_descr, hconn) Hashtbl.t = Hashtbl.create 8 in
   let draining = ref false in
   let listening = ref true in
-  let request_shutdown () = Atomic.set stop_flag true in
   let cleanup () =
     Hashtbl.iter (fun fd _ -> try Unix.close fd with Unix.Unix_error _ -> ()) conns;
     Hashtbl.reset conns;
@@ -1061,7 +913,7 @@ let run config =
        Hashtbl.iter
          (fun _ c ->
            if not c.dead then begin
-             progress resident c ~request_shutdown;
+             progress resident c;
              flush_conn c
            end)
          conns;

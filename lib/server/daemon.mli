@@ -3,21 +3,46 @@
     A long-lived Unix-domain-socket daemon that loads the TLS protocol
     specs {e once} at startup and keeps the whole term universe hot across
     requests: the weak intern table, the generation-stamped normal-form
-    memos of the resident proof environments, the lint reports and the
-    completed-obligation result cache all survive from one request to the
-    next — so the second identical campaign subset costs a registry lookup
-    where a cold CLI run pays spec elaboration and every red from zero.
+    memos of the resident proof environments, and the resident caches all
+    survive from one request to the next — so the second identical
+    campaign subset costs a registry lookup where a cold CLI run pays spec
+    elaboration and every red from zero.
+
+    Resident caches: every one is a {!Registry}.  Completed obligations
+    are keyed [verify:STYLE:NAME]; lint reports, secrecy results and the
+    static half of a campaign certificate (LPO precedence and confluence
+    joins, {!Analysis.Certgen.static}) are keyed by style.  A request that
+    finds its entry still computing shares the in-flight future, so
+    overlapping cold lint or secrecy requests run one analysis.  The
+    [cached] flag of a lint or secrecy answer is true exactly when the
+    entry had already resolved.  An entry whose task raised stays in its
+    registry, and a repeat is answered with the same error.  The
+    [server.dedup.hits]/[server.dedup.misses] counters count lookups in
+    every registry; [server.lint.cache_hits] and
+    [server.secrecy.cache_hits] count answers served from a resolved
+    entry.
 
     Architecture: one single-threaded [select] event loop owns all socket
     I/O (accept, incremental frame decoding, response write-back) and
-    dispatches proof obligations onto a {!Sched.Pool} of worker domains,
-    polling their futures between I/O ticks — verdicts stream back in
-    campaign order while later obligations are still running.  Identical
-    in-flight obligations from concurrent clients are deduplicated against
-    a single shared future ({!Registry}).  Each request runs under a
-    [cat = "server"] telemetry span, and always-on {!Telemetry.Metrics}
-    (request counters, dedup hit rate, latency histograms, memo/intern
-    occupancy gauges) are served by the [metrics] request.
+    dispatches pool work onto a {!Sched.Pool} of worker domains.  Every
+    request is one job: a poll function the loop calls between I/O ticks,
+    which sends the responses ready so far and reports the exit code once
+    the request is answered — campaign verdicts stream back in campaign
+    order while later obligations are still running.  A job that raises
+    is answered once, in one place: {!Kernel.Rewrite.Limit_exceeded} as a
+    structured [timeout], any other exception as a [server] error.  Each
+    request runs under a [cat = "server"] telemetry span, and always-on
+    {!Telemetry.Metrics} (request counters, dedup hit rate, latency
+    histograms, memo/intern occupancy gauges) are served by the [metrics]
+    request.
+
+    With [jobs = 1] the pool has no worker domain, and the loop lends its
+    own: when jobs are pending it runs one queued pool entry per tick
+    ({!Sched.Pool.try_help}), and an entry runs to completion.  A cold
+    lint is one entry, so it holds the loop, [/healthz] included, for the
+    whole lint: a [/healthz] probe sent 1 s into a cold lint was answered
+    after 60.8 s on a 2-core VM.  A [jobs >= 2] daemon keeps the loop
+    free.
 
     Graceful shutdown: a [shutdown] request, SIGINT or SIGTERM stops
     accepting, lets in-flight requests finish, flushes every connection,

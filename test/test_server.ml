@@ -546,6 +546,20 @@ let test_live_eval_limits_in_open () =
   Alcotest.(check (list (pair int int))) "at the request's 500-step budget"
     [ (500, 500) ] (step_timeouts resps)
 
+(* One request's response stream, read off a raw connection. *)
+let read_until_done fd =
+  let rec go acc =
+    match P.Frame.read fd with
+    | Ok (Some payload) -> (
+      match P.decode_response payload with
+      | Ok (P.Done { exit_code }) -> List.rev acc, exit_code
+      | Ok r -> go (r :: acc)
+      | Error e -> failwith e)
+    | Ok None -> failwith "eof before Done"
+    | Error e -> failwith e
+  in
+  go []
+
 let test_live_protocol_error () =
   with_daemon ~jobs:1 @@ fun socket ->
   let fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
@@ -554,17 +568,7 @@ let test_live_protocol_error () =
   Unix.connect fd (ADDR_UNIX socket);
   (* a well-framed payload that is not a request *)
   P.Frame.write fd "this is (not a request";
-  let rec read_until_done acc =
-    match P.Frame.read fd with
-    | Ok (Some payload) -> (
-      match P.decode_response payload with
-      | Ok (P.Done { exit_code }) -> List.rev acc, exit_code
-      | Ok r -> read_until_done (r :: acc)
-      | Error e -> failwith e)
-    | Ok None -> failwith "eof before Done"
-    | Error e -> failwith e
-  in
-  let resps, code = read_until_done [] in
+  let resps, code = read_until_done fd in
   Alcotest.(check int) "usage exit over the wire" Exit.usage code;
   Alcotest.(check bool) "protocol error response" true
     (List.exists
@@ -608,6 +612,71 @@ let test_live_secrecy_cached () =
       [ c1; f1; ro1; re1 ] [ c2; f2; ro2; re2 ];
     Alcotest.(check string) "identical verdict" v1 v2
   | _ -> Alcotest.fail "missing secrecy-report response"
+
+(* Two cold secrecy requests on two connections, both sent before either
+   answer is read: the second shares the first's registry entry, so the
+   analysis runs once (one dedup miss) and the second is a dedup hit. *)
+let test_live_secrecy_shared () =
+  with_daemon ~jobs:2 @@ fun socket ->
+  let dedup () =
+    let resps, _ =
+      Server.Client.with_client ~socket (fun c ->
+          Server.Client.request_collect c P.Status)
+    in
+    match
+      List.find_map
+        (function
+          | P.Rstatus { dedup_hits; dedup_misses; _ } ->
+            Some (dedup_hits, dedup_misses)
+          | _ -> None)
+        resps
+    with
+    | Some d -> d
+    | None -> Alcotest.fail "no status response"
+  in
+  let hits0, misses0 = dedup () in
+  let connect () =
+    let fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
+    Unix.connect fd (ADDR_UNIX socket);
+    fd
+  in
+  let fds = [ connect (); connect () ] in
+  let answers =
+    Fun.protect
+      ~finally:(fun () ->
+        List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) fds)
+      (fun () ->
+        List.iter
+          (fun fd ->
+            P.Frame.write fd (P.encode_request (P.Secrecy { style = P.Original })))
+          fds;
+        List.map read_until_done fds)
+  in
+  let report (resps, code) =
+    match
+      List.find_map
+        (function
+          | P.Rsecrecy { verdict; clauses; facts; rounds; resolutions; cached }
+            ->
+            Some ((verdict, [ clauses; facts; rounds; resolutions ], code), cached)
+          | _ -> None)
+        resps
+    with
+    | Some r -> r
+    | None -> Alcotest.fail "missing secrecy-report response"
+  in
+  let hits1, misses1 = dedup () in
+  match List.map report answers with
+  | [ (a1, cached1); (a2, _) ] ->
+    let v, _, code = a1 in
+    Alcotest.(check string) "secure verdict" "secure" v;
+    Alcotest.(check int) "exit ok" Exit.ok code;
+    Alcotest.(check bool) "first request is cold" false cached1;
+    Alcotest.(check bool) "identical answers" true (a1 = a2);
+    Alcotest.(check int) "the analysis ran once" 1 (misses1 - misses0);
+    Alcotest.(check int) "the second request is a registry hit" 1
+      (hits1 - hits0)
+  | _ -> Alcotest.fail "expected two answers"
 
 let test_live_certify_roundtrip () =
   with_daemon ~jobs:1 @@ fun socket ->
@@ -986,6 +1055,8 @@ let tests =
         `Slow test_live_protocol_error;
       Alcotest.test_case "live: secrecy served and cached" `Slow
         test_live_secrecy_cached;
+      Alcotest.test_case "live: overlapping cold secrecy runs once" `Slow
+        test_live_secrecy_shared;
       Alcotest.test_case "live: certificate round-trips through check" `Slow
         test_live_certify_roundtrip;
       Alcotest.test_case "live: drained daemon removes its socket" `Slow
